@@ -11,10 +11,10 @@
 //! to refresh the committed baseline. Benchmarks named `bytes_*` report
 //! footprints, where lower is better and the directions mirror.
 //! Benchmarks new in the current file are ignored (a new benchmark
-//! cannot regress). Host-parallel scaling lines (`sweep_fig1_grid`,
-//! `shard_scaling`) are skipped entirely when the current file's
-//! recorded `host.cores` is 1: on a single-core machine those speedups
-//! are bounded by the host, so their ratios carry no signal.
+//! cannot regress). The host-parallel scaling line (`sweep_fig1_grid`)
+//! is skipped entirely when the current file's recorded `host.cores` is
+//! 1: on a single-core machine that speedup is bounded by the host, so
+//! its ratio carries no signal.
 //!
 //! `--update-baseline` accepts the current numbers: after printing the
 //! usual comparison table, the current file is copied over the baseline
@@ -131,9 +131,9 @@ fn main() {
             std::process::exit(2);
         }
     };
-    // On a 1-core host the sweep/shard speedup lines are bounded at ~1x
-    // by the machine, not the code: their ratios against a multi-core
-    // baseline carry no signal, so skip the assertion (both directions)
+    // On a 1-core host the sweep speedup line is bounded at ~1x by the
+    // machine, not the code: its ratio against a multi-core baseline
+    // carries no signal, so skip the assertion (both directions)
     // rather than fail or silently "improve". The host object comes
     // from the *current* file — the run whose machine we know.
     let one_core_host = std::fs::read_to_string(&opts.current)

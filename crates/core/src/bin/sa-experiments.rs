@@ -27,9 +27,7 @@ use sa_core::{AppSpec, SystemBuilder, ThreadApi};
 use sa_harness::{host_jobs, parse_jobs, PanickedJob};
 use sa_kernel::{AllocPolicy, AllocPolicyKind, AllocView, DaemonSpec, SpaceDemand, SpaceShareEven};
 use sa_machine::CostModel;
-use sa_sim::{
-    event::lazy::LazyEventQueue, EventCore, EventQueue, SimDuration, SimTime, Trace, UpcallKind,
-};
+use sa_sim::{EventQueue, SimDuration, SimTime, Trace, UpcallKind};
 use sa_uthread::{CriticalSectionMode, ReadyPolicyKind};
 use sa_workload::nbody::{nbody_parallel, NBodyConfig};
 use std::num::NonZeroUsize;
@@ -227,9 +225,8 @@ fn table5(jobs: NonZeroUsize) -> Result<(), PanickedJob> {
 /// Standing far-out timers kept pending through the whole queue mix. The
 /// kernel's queue always carries a backlog of per-CPU quantum timers,
 /// daemon wakeups, and I/O timeouts that rarely fire; the near-term
-/// churn happens on top of it. The backlog is what separates the wheel's
-/// O(1) operations (untouched coarse slots) from the heap's O(log n)
-/// sifts through the whole population.
+/// churn happens on top of it; a near-empty queue would flatter any
+/// design whose cost grows with the pending population.
 const QUEUE_MIX_STANDING: u64 = 4096;
 
 /// Schedules the standing backlog: timers 4 ms apart starting at 20
@@ -240,11 +237,10 @@ fn prefill_standing(mut schedule: impl FnMut(SimTime, u64)) {
     }
 }
 
-/// Push/pop/cancel microloop against the selected event core (the wheel
-/// in production, the indexed heap as the differential baseline), run
-/// over a standing backlog of `QUEUE_MIX_STANDING` pending timers.
-fn queue_microloop(core: EventCore, ops: u64) -> f64 {
-    let mut q = EventQueue::with_core(core);
+/// Push/pop/cancel microloop against the event queue, run over a
+/// standing backlog of `QUEUE_MIX_STANDING` pending timers.
+fn queue_microloop(ops: u64) -> f64 {
+    let mut q = EventQueue::new();
     prefill_standing(|t, v| {
         q.schedule(t, v);
     });
@@ -261,35 +257,6 @@ fn queue_microloop(core: EventCore, ops: u64) -> f64 {
             tokens.push(q.schedule(SimTime::from_nanos(base + t * 7919 % 100_000), t));
         }
         // Cancel a quarter eagerly, pop the rest.
-        for tok in tokens.iter().step_by(4) {
-            q.cancel(*tok);
-        }
-        for _ in 0..48 {
-            if let Some((_, v)) = q.pop() {
-                sum += v;
-            }
-        }
-    }
-    std::hint::black_box(sum);
-    ops as f64 / start.elapsed().as_secs_f64()
-}
-
-/// The same microloop against the retained lazy-cancellation baseline.
-fn queue_microloop_lazy(ops: u64) -> f64 {
-    let mut q = LazyEventQueue::new();
-    prefill_standing(|t, v| {
-        q.schedule(t, v);
-    });
-    let start = Instant::now();
-    let mut sum = 0u64;
-    let mut tokens = Vec::with_capacity(64);
-    for round in 0..ops / 64 {
-        tokens.clear();
-        let base = (round + 1) * 200_000;
-        for i in 0..64u64 {
-            let t = round * 64 + i;
-            tokens.push(q.schedule(SimTime::from_nanos(base + t * 7919 % 100_000), t));
-        }
         for tok in tokens.iter().step_by(4) {
             q.cancel(*tok);
         }
@@ -320,20 +287,10 @@ fn best_of(n: usize, mut run: impl FnMut() -> EngineThroughput) -> EngineThrough
     best
 }
 
-/// Same-tick batch dispatch at system scale: two multiprogrammed N-body
+/// Same-tick dispatch at system scale: two multiprogrammed N-body
 /// applications on the six-processor machine, which keeps several CPUs
-/// finishing segments at identical timestamps — the simultaneity classes
-/// the kernel loop's `pop_batch` drains in one queue entry. Returns host
-/// throughput on the chosen event core.
-fn batch_dispatch_throughput(core: EventCore) -> EngineThroughput {
-    shardable_system_throughput(core, 1)
-}
-
-/// The [`batch_dispatch_throughput`] system with the shard count forced:
-/// the `shard_scaling` pairing runs the identical multiprogrammed 6-CPU
-/// workload serially and partitioned, and the virtual-time results are
-/// byte-identical by construction — only host throughput may differ.
-fn shardable_system_throughput(core: EventCore, shards: u16) -> EngineThroughput {
+/// finishing segments at identical timestamps. Returns host throughput.
+fn batch_dispatch_throughput() -> EngineThroughput {
     let cost = CostModel::firefly_prototype();
     let cfg = NBodyConfig {
         bodies: NBodyConfig::default().bodies / 2,
@@ -342,8 +299,6 @@ fn shardable_system_throughput(core: EventCore, shards: u16) -> EngineThroughput
     let mut builder = SystemBuilder::new(6)
         .cost(cost)
         .seed(1)
-        .event_core(core)
-        .shards(shards)
         .daemons(DaemonSpec::topaz_default_set())
         .run_limit(SimTime::from_millis(3_600_000));
     for copy in 0..2 {
@@ -584,89 +539,22 @@ fn engine_bench(jobs: NonZeroUsize) -> Result<(), PanickedJob> {
         ),
     ));
 
-    // Queue microloops on the same cancel-heavy push/cancel/pop mix:
-    // timing wheel (production core) vs indexed heap vs the retained
-    // lazy-cancellation baseline (`sa_sim::event::lazy`). Repeats are
-    // interleaved across the three cores (and the best kept per core) so
-    // host-speed drift during the run cannot skew the ratios.
+    // Queue microloop on a cancel-heavy push/cancel/pop mix (best of
+    // three repeats).
     const QOPS: u64 = 2_000_000;
-    let (mut wheel, mut indexed, mut lazy) = (0f64, 0f64, 0f64);
-    for _ in 0..3 {
-        wheel = wheel.max(queue_microloop(EventCore::Wheel, QOPS));
-        indexed = indexed.max(queue_microloop(EventCore::Indexed, QOPS));
-        lazy = lazy.max(queue_microloop_lazy(QOPS));
-    }
+    let wheel = (0..3).map(|_| queue_microloop(QOPS)).fold(0f64, f64::max);
     lines.push(BenchLine::new(
         "queue_mix_wheel",
         wheel,
-        format!("{QOPS} scheduled; {:.2}x indexed", wheel / indexed),
-    ));
-    lines.push(BenchLine::new(
-        "queue_mix_indexed",
-        indexed,
         format!("{QOPS} scheduled"),
     ));
-    lines.push(BenchLine::new(
-        "queue_mix_lazy_baseline",
-        lazy,
-        format!("{QOPS} scheduled; indexed is {:.2}x", indexed / lazy),
-    ));
 
-    // Same-tick batch dispatch at system scale (multiprogrammed 6-CPU
-    // run, wheel core; the indexed number pins the spread between cores
-    // on the batch-heaviest scenario).
-    // Interleaved for the same drift-immunity as the queue mix.
-    let mut batch_wheel = batch_dispatch_throughput(EventCore::Wheel);
-    let mut batch_indexed = batch_dispatch_throughput(EventCore::Indexed);
-    for _ in 0..2 {
-        let w = batch_dispatch_throughput(EventCore::Wheel);
-        if w.host_seconds < batch_wheel.host_seconds {
-            batch_wheel = w;
-        }
-        let i = batch_dispatch_throughput(EventCore::Indexed);
-        if i.host_seconds < batch_indexed.host_seconds {
-            batch_indexed = i;
-        }
-    }
+    // Same-tick dispatch at system scale (multiprogrammed 6-CPU run).
+    let batch = best_of(3, batch_dispatch_throughput);
     lines.push(BenchLine::new(
         "system_batch_dispatch",
-        batch_wheel.events_per_sec(),
-        format!(
-            "2-app 6-cpu run; indexed core {:.0}/s ({:.2}x of wheel)",
-            batch_indexed.events_per_sec(),
-            batch_indexed.events_per_sec() / batch_wheel.events_per_sec()
-        ),
-    ));
-
-    // Deterministic shard scaling: the same multiprogrammed system run
-    // serially and partitioned into 4 shards (virtual-time output is
-    // byte-identical — the determinism suites gate that; this line
-    // tracks only host throughput). Interleaved best-of-3, like every
-    // system pairing here. The speedup is bounded by available host
-    // cores: ~1x is the expected ceiling on the 1-core reference box,
-    // and `sa-bench-check` skips this line's ratio assertion there.
-    const SHARD_COUNT: u16 = 4;
-    let mut shard_serial = shardable_system_throughput(EventCore::Wheel, 1);
-    let mut shard_multi = shardable_system_throughput(EventCore::Wheel, SHARD_COUNT);
-    for _ in 0..2 {
-        let s = shardable_system_throughput(EventCore::Wheel, 1);
-        if s.host_seconds < shard_serial.host_seconds {
-            shard_serial = s;
-        }
-        let m = shardable_system_throughput(EventCore::Wheel, SHARD_COUNT);
-        if m.host_seconds < shard_multi.host_seconds {
-            shard_multi = m;
-        }
-    }
-    lines.push(BenchLine::new(
-        "shard_scaling",
-        shard_multi.events_per_sec(),
-        format!(
-            "2-app 6-cpu run at {SHARD_COUNT} shards; serial {:.0}/s; speedup {:.2}x \
-             (bounded by host cores; byte-identical output either way)",
-            shard_serial.events_per_sec(),
-            shard_serial.host_seconds / shard_multi.host_seconds
-        ),
+        batch.events_per_sec(),
+        "2-app 6-cpu run".to_string(),
     ));
 
     // Allocation-policy dispatch: the same §4.1 division through the
@@ -1131,8 +1019,6 @@ fn usage() -> String {
          --requests N override the SLO profile's request count (quick runs)\n\
          --spaces N   fan the SLO generator across N address spaces (aggregate\n\
          \u{20}             arrival rate preserved; exercises the processor allocator)\n\
-         --shards N   partition each simulation into N deterministic shards\n\
-         \u{20}             (exported as SA_SHARDS; output is byte-identical at any N)\n\
          --list       list subcommands (or, after 'run'/'slo', scenarios) and exit",
         names.join("|")
     )
@@ -1151,8 +1037,6 @@ struct Options {
     requests: Option<usize>,
     /// Address-space fan-out override for the `slo` subcommand.
     spaces: Option<u32>,
-    /// Simulation shard count (exported as `SA_SHARDS` before any run).
-    shards: Option<u16>,
     /// Policy pair for the `run` and `slo` subcommands.
     policies: PolicyConfig,
 }
@@ -1165,7 +1049,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Option<Options>, Str
     let mut format: Option<String> = None;
     let mut requests: Option<usize> = None;
     let mut spaces: Option<u32> = None;
-    let mut shards: Option<u16> = None;
     let mut alloc: Option<AllocPolicyKind> = None;
     let mut ready: Option<ReadyPolicyKind> = None;
     let mut args = args.peekable();
@@ -1195,13 +1078,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Option<Options>, Str
             spaces = Some(parse_spaces(&value)?);
         } else if let Some(value) = arg.strip_prefix("--spaces=") {
             spaces = Some(parse_spaces(value)?);
-        } else if arg == "--shards" {
-            let value = args
-                .next()
-                .ok_or_else(|| "--shards requires a count (e.g. --shards 2)".to_string())?;
-            shards = Some(parse_shards(&value)?);
-        } else if let Some(value) = arg.strip_prefix("--shards=") {
-            shards = Some(parse_shards(value)?);
         } else if arg == "--alloc" {
             let value = args
                 .next()
@@ -1302,7 +1178,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Option<Options>, Str
         format,
         requests,
         spaces,
-        shards,
         policies: PolicyConfig {
             alloc: alloc.unwrap_or_default(),
             ready: ready.unwrap_or_default(),
@@ -1326,16 +1201,6 @@ fn parse_spaces(v: &str) -> Result<u32, String> {
         .map_err(|_| format!("--spaces: '{v}' is not a count"))?;
     if n == 0 {
         return Err("--spaces: must be at least 1".to_string());
-    }
-    Ok(n)
-}
-
-fn parse_shards(v: &str) -> Result<u16, String> {
-    let n: u16 = v
-        .parse()
-        .map_err(|_| format!("--shards: '{v}' is not a count"))?;
-    if n == 0 {
-        return Err("--shards: must be at least 1".to_string());
     }
     Ok(n)
 }
@@ -1416,13 +1281,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    // The flag wins over the environment: every `SystemBuilder::build`
-    // in this process (including sweep cells on worker threads) reads
-    // `SA_SHARDS`, so exporting it here — before any thread spawns —
-    // shards every simulation the subcommand runs.
-    if let Some(n) = opts.shards {
-        std::env::set_var("SA_SHARDS", n.to_string());
-    }
     if let Err(panicked) = run(&opts) {
         eprintln!("sa-experiments: {panicked}");
         std::process::exit(1);

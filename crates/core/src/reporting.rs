@@ -1,5 +1,5 @@
 //! Machine-readable benchmark reporting (no serde in the tree — see
-//! `DESIGN.md` §6 — so emission is hand-rolled here, *with* escaping).
+//! `DESIGN.md` §7 — so emission is hand-rolled here, *with* escaping).
 //!
 //! `sa-experiments engine-bench` and the bench harnesses both emit flat
 //! `{name, ops_per_sec, detail}` records; this module owns the JSON
@@ -286,13 +286,13 @@ pub fn parse_host_cores(text: &str) -> Option<usize> {
     extract_number_field(line, "cores").map(|n| n as usize)
 }
 
-/// Whether a benchmark line reports host-parallel scaling (a sweep or
-/// shard speedup) rather than single-thread engine throughput. On a
+/// Whether a benchmark line reports host-parallel scaling (the sweep
+/// speedup) rather than single-thread engine throughput. On a
 /// 1-core host these numbers are bounded at ~1x by the machine, not the
 /// code, so [`sa-bench-check`] skips their ratio assertions when the
 /// current file records `host.cores == 1`.
 pub fn host_dependent(name: &str) -> bool {
-    matches!(name, "sweep_fig1_grid" | "shard_scaling")
+    name == "sweep_fig1_grid"
 }
 
 /// Verdict for one benchmark when comparing a candidate run against a
@@ -457,9 +457,9 @@ mod tests {
     }
 
     #[test]
-    fn host_dependent_names_are_the_scaling_lines() {
+    fn host_dependent_name_is_the_sweep_line() {
         assert!(host_dependent("sweep_fig1_grid"));
-        assert!(host_dependent("shard_scaling"));
+        assert!(!host_dependent("system_batch_dispatch"));
         assert!(!host_dependent("queue_mix_wheel"));
         assert!(!host_dependent("system_nbody_fig1_sa"));
     }

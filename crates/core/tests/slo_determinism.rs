@@ -42,40 +42,6 @@ fn slo_report_is_byte_identical_across_job_counts() {
     assert_eq!(serial.2, parallel.2, "counter JSON differs");
 }
 
-/// The same report must also be byte-identical when each simulation is
-/// partitioned into 2 or 4 deterministic shards (`SA_SHARDS`, read at
-/// `SystemBuilder::build`). This is the end-to-end gate on the sharded
-/// engine for the SLO pipeline: windowed series, tail attribution, and
-/// counter JSON all byte-compare against the serial run. Safe to set the
-/// env var here even though tests share the process: byte-identity at
-/// any shard count is precisely the invariant every other test relies
-/// on.
-#[test]
-fn slo_report_is_byte_identical_across_shard_counts() {
-    let mut p = find("slo_bursty").expect("registered profile");
-    p.window = SimDuration::from_millis(5);
-    let render = |shards: u16| {
-        std::env::set_var("SA_SHARDS", shards.to_string());
-        let r = run_slo(&p, PolicyConfig::default(), Some(2_000), jobs(2)).expect("no panics");
-        std::env::remove_var("SA_SHARDS");
-        (
-            render_table(&r),
-            render_csv(&r),
-            perfetto_counters_json(&counter_series(&r)),
-        )
-    };
-    let serial = render(1);
-    for shards in [2, 4] {
-        let sharded = render(shards);
-        assert_eq!(serial.0, sharded.0, "table differs at {shards} shards");
-        assert_eq!(serial.1, sharded.1, "csv differs at {shards} shards");
-        assert_eq!(
-            serial.2, sharded.2,
-            "counter JSON differs at {shards} shards"
-        );
-    }
-}
-
 /// Every registered profile, under every system: span service sums to
 /// the ledger's user time exactly per shard, the windowed states sum to
 /// `cpus × makespan` exactly, and every request lands in exactly one

@@ -385,13 +385,6 @@ impl Kernel {
                 },
             );
         }
-        self.mailbox.post(
-            &self.plan,
-            crate::mailbox::CrossShardMsg::Grant {
-                cpu: cpu as u32,
-                space: space.0,
-            },
-        );
         self.cpus[cpu].assigned = Some(space);
         self.cpus[cpu].assigned_since = Some(self.q.now());
         self.spaces[space.index()].assigned_cpus += 1;

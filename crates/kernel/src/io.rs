@@ -67,17 +67,9 @@ impl Kernel {
 
     /// Handles a disk completion.
     pub(crate) fn on_disk_done(&mut self, op: u32) {
-        let op_id = op;
         let op = self.diskops[op as usize]
             .take()
             .expect("disk completion delivered twice");
-        self.mailbox.post(
-            &self.plan,
-            crate::mailbox::CrossShardMsg::IoComplete {
-                op: op_id,
-                space: op.space.0,
-            },
-        );
         if let Some(page) = op.page {
             self.spaces[op.space.index()].residency.insert(page);
         }

@@ -12,8 +12,8 @@ use crate::sched::ReadyQueue;
 use crate::space::{Residency, SaState, Space, SpaceKind};
 use sa_machine::{CostModel, Disk};
 use sa_sim::{
-    CpuState, EventToken, PopNext, ShardPlan, ShardedQueue, SimRng, SimTime, TimeLedger, Trace,
-    TraceEvent, WaitKind,
+    CpuState, EventQueue, EventToken, PopNext, SimRng, SimTime, TimeLedger, Trace, TraceEvent,
+    WaitKind,
 };
 
 /// Priority of kernel daemon threads: above every application space.
@@ -133,11 +133,7 @@ pub struct Kernel {
     pub(crate) cost: CostModel,
     /// Prebuilt protection-boundary segments (see [`SegCache`]).
     pub(crate) segs: crate::exec::SegCache,
-    pub(crate) q: ShardedQueue<Event>,
-    /// How the machine is partitioned into event lanes (1 lane in serial
-    /// mode): owns the CPU→shard and space→shard maps and the staging
-    /// lookahead derived from the cost model.
-    pub(crate) plan: ShardPlan,
+    pub(crate) q: EventQueue<Event>,
     pub(crate) rng: SimRng,
     /// Execution trace (enable with [`Kernel::set_trace`]).
     pub(crate) trace: Trace,
@@ -167,9 +163,6 @@ pub struct Kernel {
     pub(crate) provenance: Option<Box<crate::provenance::ProvenanceLog>>,
     /// Optional processor-assignment dwell ledger (same gating).
     pub(crate) dwell: Option<Box<sa_sim::DwellLedger>>,
-    /// Typed routing point (and always-on counters) for the three
-    /// cross-shard edge kinds: grants, upcall batches, IO completions.
-    pub(crate) mailbox: crate::mailbox::Mailbox,
     /// Rotation counter for remainder processors (§4.1 time-slicing).
     pub(crate) share_rotation: u32,
     /// A `RotateShares` event is outstanding.
@@ -192,7 +185,6 @@ pub struct Kernel {
     /// it for targets and grant picks). Enum-dispatched: the built-in
     /// policies resolve statically (see [`AllocPolicySelect`]).
     pub(crate) alloc_policy: AllocPolicySelect,
-    started: bool,
 }
 
 impl Kernel {
@@ -216,23 +208,12 @@ impl Kernel {
         let disk = Disk::new(cfg.disk);
         let rng = SimRng::new(cfg.seed);
         let alloc_policy = cfg.alloc_policy.build_select();
-        let plan = ShardPlan::new(
-            u32::from(cfg.shards),
-            u32::from(cfg.cpus),
-            cost.min_cross_shard_edge(),
-        );
-        let q = if plan.n_shards() <= 1 {
-            ShardedQueue::new_serial(cfg.event_core)
-        } else {
-            ShardedQueue::new_multi(plan.n_shards() as usize, plan.lookahead())
-        };
         let segs = crate::exec::SegCache::new(&cost);
         let mut kernel = Kernel {
             cfg,
             cost,
             segs,
-            q,
-            plan,
+            q: EventQueue::new(),
             rng,
             trace: Trace::disabled(),
             cpus,
@@ -250,7 +231,6 @@ impl Kernel {
             next_decision_id: 0,
             provenance: None,
             dwell: None,
-            mailbox: crate::mailbox::Mailbox::default(),
             share_rotation: 0,
             rotation_armed: false,
             dwell_retry_armed: false,
@@ -258,7 +238,6 @@ impl Kernel {
             app_spaces_done: 0,
             quiesce_dirty: false,
             alloc_policy,
-            started: false,
         };
         kernel.init_daemons();
         kernel
@@ -294,12 +273,6 @@ impl Kernel {
     /// Kernel-wide metrics.
     pub fn kernel_metrics(&self) -> &KernelMetrics {
         &self.metrics
-    }
-
-    /// Cross-shard mailbox traffic counters (per-kind totals are
-    /// shard-count-invariant; the same/cross split follows the plan).
-    pub fn mailbox_stats(&self) -> crate::mailbox::MailboxStats {
-        self.mailbox.stats()
     }
 
     /// Per-space metrics.
@@ -505,39 +478,8 @@ impl Kernel {
     ///
     /// Each iteration delivers one event with `pop_within` — a fused
     /// peek + pop that applies the run-limit check without a separate
-    /// queue-head scan. Delivery is the queue's strict `(time, seq)`
-    /// order, so every trace, metric, and golden output is byte-identical
-    /// to both the old batch-staging loop and the still-older
-    /// one-pop-per-iteration loop. System runs measure ~1.0 events per
-    /// simultaneity class, which made the batch staging machinery (slot
-    /// walks, sequence sort, staging deque) pure per-event overhead —
-    /// the single-pop loop skips all of it.
-    ///
-    /// With `shards > 1`, a persistent worker team stages each lane's
-    /// events up to the conservative lookahead horizon concurrently
-    /// between commits; the commit order — and thus every output — stays
-    /// byte-identical to the serial engine (see `sa_sim::shard` and
-    /// DESIGN.md §7).
+    /// queue-head scan — in the queue's strict `(time, seq)` order.
     pub fn run(&mut self) -> RunOutcome {
-        if !self.started {
-            self.started = true;
-        }
-        match self.q.lanes() {
-            None => self.run_loop(None),
-            Some(lanes) => {
-                let n_lanes = lanes.n_lanes();
-                let team_size = n_lanes.min(sa_harness::host_jobs().get());
-                let work = move |lane: usize| lanes.stage_lane(lane);
-                sa_harness::with_worker_team(team_size, &work, |team| self.run_loop(Some(team)))
-            }
-        }
-    }
-
-    /// The event loop proper. `team` is `Some` only in multi-shard mode;
-    /// a staging round is dispatched whenever the queue judges one
-    /// worthwhile (enough live events, previous runs fully committed).
-    fn run_loop(&mut self, team: Option<&sa_harness::TeamHandle<'_, '_>>) -> RunOutcome {
-        let n_lanes = self.q.n_lanes();
         loop {
             if self.all_app_spaces_done() {
                 return RunOutcome {
@@ -545,12 +487,6 @@ impl Kernel {
                     timed_out: false,
                     deadlocked: false,
                 };
-            }
-            if let Some(team) = team {
-                if self.q.begin_stage() {
-                    team.round(n_lanes);
-                    self.q.finish_stage();
-                }
             }
             match self.q.pop_within(self.cfg.run_limit) {
                 PopNext::Empty => {
@@ -915,29 +851,9 @@ impl Kernel {
         self.sched_ev(self.q.now(), Event::Dispatch { cpu, gen });
     }
 
-    /// The event lane owning `ev` under the shard plan: per-CPU events
-    /// home to the CPU's shard, per-space events to the space's shard,
-    /// machine-global events (disk completions, kernel daemons, share
-    /// rotation) to lane 0. Irrelevant (but harmless) in serial mode.
-    fn event_lane(&self, ev: &Event) -> usize {
-        match *ev {
-            Event::SegDone { cpu, .. }
-            | Event::Dispatch { cpu, .. }
-            | Event::QuantumExpire { cpu, .. } => self.plan.cpu_shard(cpu) as usize,
-            Event::StartSpace { space } | Event::RetryNotify { space } => {
-                self.plan.space_shard(space.0) as usize
-            }
-            Event::DiskDone { .. }
-            | Event::DaemonWake { .. }
-            | Event::RotateShares
-            | Event::DwellRetry => 0,
-        }
-    }
-
-    /// Schedules `ev` at `time` on its home lane (the single kernel-wide
-    /// entry point for event scheduling; see [`Kernel::event_lane`]).
+    /// Schedules `ev` at `time` (the single kernel-wide entry point for
+    /// event scheduling).
     pub(crate) fn sched_ev(&mut self, time: SimTime, ev: Event) -> EventToken {
-        let lane = self.event_lane(&ev);
-        self.q.schedule(lane, time, ev)
+        self.q.schedule(time, ev)
     }
 }

@@ -32,7 +32,6 @@ pub mod io;
 pub mod kernel;
 pub mod kthread;
 pub mod locks;
-pub mod mailbox;
 pub mod metrics;
 pub mod policy;
 pub mod provenance;
@@ -46,7 +45,6 @@ pub use config::{DaemonSpec, KernelConfig, KernelFlavor, SchedMode, SpaceKindSpe
 pub use ids::{ActId, AsId, KtId, VpId};
 pub use interp::NO_LOCK;
 pub use kernel::Kernel;
-pub use mailbox::{CrossShardMsg, Mailbox, MailboxStats};
 pub use metrics::{KernelMetrics, RunOutcome, SpaceMetrics};
 pub use policy::{
     Affinity, AllocPolicy, AllocPolicyKind, AllocView, Hysteresis, SpaceDemand, SpaceShareEven,

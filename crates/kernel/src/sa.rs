@@ -615,14 +615,6 @@ impl Kernel {
         all.extend(events);
         debug_assert!(!all.is_empty(), "empty upcall batch");
         debug_assert_eq!(all.len(), queued_at.len());
-        self.mailbox.post(
-            &self.plan,
-            crate::mailbox::CrossShardMsg::UpcallBatch {
-                cpu: cpu as u32,
-                space: space.0,
-                events: all.len() as u32,
-            },
-        );
         // Allocate the vessel: cached husks are cheap (§4.3).
         let (a, create_cost) = match self.spaces[space.index()].sa.cached.pop() {
             Some(husk) => {

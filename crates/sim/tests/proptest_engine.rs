@@ -1,17 +1,16 @@
 //! Property tests of the simulation engine against reference models.
 
 use proptest::prelude::*;
-use sa_sim::event::lazy::LazyEventQueue;
 use sa_sim::stats::{Histogram, TimeWeighted};
-use sa_sim::{EventCore, EventQueue, SimDuration, SimTime};
+use sa_sim::{EventQueue, PopNext, SimDuration, SimTime};
 
 /// One step of the model-based interleaving test. Near delays are drawn
 /// from a tiny range so same-instant ties (the determinism-critical case)
 /// are common; sub-tick delays land distinct timestamps inside one 512 ns
 /// wheel slot; far delays span the wheel's coarse levels up to past the
 /// ~37-minute L3 horizon (exercising the overflow list and the cascade on
-/// the way back down). `Cancel`/`Pop` indices are reduced modulo the
-/// current state at execution time.
+/// the way back down). `Cancel` indices are reduced modulo the current
+/// state at execution time.
 #[derive(Debug, Clone, Copy)]
 enum QueueOp {
     /// Schedule at `now + n µs` (ties common).
@@ -22,8 +21,9 @@ enum QueueOp {
     ScheduleFar(u64),
     Cancel(usize),
     Pop,
-    /// Drain one whole simultaneity class through the batch API.
-    PopBatch,
+    /// The kernel's extraction path: `pop_within(now + n ns)`. The limit
+    /// often falls short of the next event, exercising `Deferred`.
+    PopWithin(u64),
     Peek,
 }
 
@@ -34,7 +34,7 @@ fn queue_ops() -> impl Strategy<Value = QueueOp> {
         1 => (0u64..2_400_000).prop_map(QueueOp::ScheduleFar),
         2 => (0usize..64).prop_map(QueueOp::Cancel),
         2 => Just(QueueOp::Pop),
-        1 => Just(QueueOp::PopBatch),
+        2 => (0u64..20_000).prop_map(QueueOp::PopWithin),
         1 => Just(QueueOp::Peek),
     ]
 }
@@ -65,53 +65,49 @@ impl ModelQueue {
 
 proptest! {
     /// Events pop in nondecreasing time order with FIFO tie-breaking,
-    /// regardless of the schedule order — on both cores.
+    /// regardless of the schedule order.
     #[test]
     fn queue_pops_sorted_stable(times in prop::collection::vec(0u64..10_000, 1..200)) {
-        for core in [EventCore::Wheel, EventCore::Indexed] {
-            let mut q = EventQueue::with_core(core);
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule(SimTime::from_micros(t), i);
-            }
-            let mut expected: Vec<(u64, usize)> =
-                times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-            expected.sort_by_key(|&(t, i)| (t, i));
-            let mut got = Vec::new();
-            while let Some((at, idx)) = q.pop() {
-                got.push((at.as_micros(), idx));
-            }
-            prop_assert_eq!(got, expected, "core {:?}", core);
+        let mut q = EventQueue::new();
+        for (i, &t) in times.iter().enumerate() {
+            q.schedule(SimTime::from_micros(t), i);
         }
+        let mut expected: Vec<(u64, usize)> =
+            times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
+        expected.sort_by_key(|&(t, i)| (t, i));
+        let mut got = Vec::new();
+        while let Some((at, idx)) = q.pop() {
+            got.push((at.as_micros(), idx));
+        }
+        prop_assert_eq!(got, expected);
     }
 
-    /// Cancellation removes exactly the cancelled events — on both cores.
+    /// Cancellation removes exactly the cancelled events.
     #[test]
     fn queue_cancellation_model(
         times in prop::collection::vec(0u64..10_000, 1..200),
         cancel_mask in prop::collection::vec(any::<bool>(), 1..200),
     ) {
-        for core in [EventCore::Wheel, EventCore::Indexed] {
-            let mut q = EventQueue::with_core(core);
-            let mut tokens = Vec::new();
-            for (i, &t) in times.iter().enumerate() {
-                tokens.push(q.schedule(SimTime::from_micros(t), i));
-            }
-            let mut expected: Vec<(u64, usize)> = Vec::new();
-            for (i, &t) in times.iter().enumerate() {
-                let cancelled = *cancel_mask.get(i).unwrap_or(&false);
-                if cancelled {
-                    q.cancel(tokens[i]);
-                } else {
-                    expected.push((t, i));
-                }
-            }
-            expected.sort_by_key(|&(t, i)| (t, i));
-            let mut got = Vec::new();
-            while let Some((at, idx)) = q.pop() {
-                got.push((at.as_micros(), idx));
-            }
-            prop_assert_eq!(got, expected, "core {:?}", core);
+        let mut q = EventQueue::new();
+        let mut tokens = Vec::new();
+        for (i, &t) in times.iter().enumerate() {
+            tokens.push(q.schedule(SimTime::from_micros(t), i));
         }
+        let mut expected: Vec<(u64, usize)> = Vec::new();
+        for (i, &t) in times.iter().enumerate() {
+            let cancelled = *cancel_mask.get(i).unwrap_or(&false);
+            if cancelled {
+                q.cancel(tokens[i]);
+            } else {
+                expected.push((t, i));
+            }
+        }
+        expected.sort_by_key(|&(t, i)| (t, i));
+        let mut got = Vec::new();
+        while let Some((at, idx)) = q.pop() {
+            got.push((at.as_micros(), idx));
+        }
+        prop_assert_eq!(got, expected);
     }
 
     /// Interleaved schedule/pop keeps the clock monotone and never loses
@@ -154,70 +150,41 @@ proptest! {
         prop_assert_eq!(scheduled, popped);
     }
 
-    /// Three-way model-based equivalence: arbitrary schedule/cancel/pop/
-    /// batch/peek interleavings (with frequent same-instant ties, sub-tick
-    /// collisions, and far-future overflow entries) agree step-for-step
-    /// across the timing wheel, the indexed heap, the retained lazy
-    /// baseline, and a naive sorted-vec reference. Also pins the
-    /// exact-`len` semantics (after an eager cancel, `len()` and
-    /// `live_len()` drop immediately) and cancel-after-pop refusal.
+    /// Model-based equivalence: arbitrary schedule/cancel/pop/
+    /// pop-within/peek interleavings (with frequent same-instant ties,
+    /// sub-tick collisions, and far-future overflow entries) agree
+    /// step-for-step with a naive sorted-vec reference. Also pins exact
+    /// `len` after an eager cancel, cancel-after-pop refusal, and that a
+    /// deferred `pop_within` leaves the queue untouched.
     #[test]
     fn queue_matches_model_under_interleaving(
         ops in prop::collection::vec(queue_ops(), 1..300)
     ) {
-        let mut wheel = EventQueue::with_core(EventCore::Wheel);
-        let mut indexed = EventQueue::with_core(EventCore::Indexed);
-        let mut lazy = LazyEventQueue::new();
+        let mut q = EventQueue::new();
         let mut model = ModelQueue::default();
-        // Live tokens, parallel across all implementations.
-        type Toks = (
-            sa_sim::EventToken,
-            sa_sim::EventToken,
-            sa_sim::event::lazy::LazyToken,
-            usize,
-        );
-        let mut tokens: Vec<Toks> = Vec::new();
+        // Live tokens, with the value each one carries.
+        let mut tokens: Vec<(sa_sim::EventToken, usize)> = Vec::new();
         let mut next_seq = 0usize;
-        let schedule =
-            |at: SimTime,
-             wheel: &mut EventQueue<usize>,
-             indexed: &mut EventQueue<usize>,
-             lazy: &mut LazyEventQueue<usize>,
-             model: &mut ModelQueue,
-             tokens: &mut Vec<Toks>,
-             next_seq: &mut usize| {
-                let wtok = wheel.schedule(at, *next_seq);
-                let itok = indexed.schedule(at, *next_seq);
-                let ltok = lazy.schedule(at, *next_seq);
-                model.live.push((at.as_nanos(), *next_seq, *next_seq));
-                tokens.push((wtok, itok, ltok, *next_seq));
-                *next_seq += 1;
-            };
         for op in ops {
+            let at = match op {
+                QueueOp::Schedule(us) => Some(q.now() + SimDuration::from_micros(us)),
+                QueueOp::ScheduleNs(ns) => Some(q.now() + SimDuration::from_nanos(ns)),
+                QueueOp::ScheduleFar(ms) => Some(q.now() + SimDuration::from_millis(ms)),
+                _ => None,
+            };
+            if let Some(at) = at {
+                tokens.push((q.schedule(at, next_seq), next_seq));
+                model.live.push((at.as_nanos(), next_seq, next_seq));
+                next_seq += 1;
+            }
             match op {
-                QueueOp::Schedule(us) => {
-                    let at = wheel.now() + SimDuration::from_micros(us);
-                    schedule(at, &mut wheel, &mut indexed, &mut lazy, &mut model,
-                             &mut tokens, &mut next_seq);
-                }
-                QueueOp::ScheduleNs(ns) => {
-                    let at = wheel.now() + SimDuration::from_nanos(ns);
-                    schedule(at, &mut wheel, &mut indexed, &mut lazy, &mut model,
-                             &mut tokens, &mut next_seq);
-                }
-                QueueOp::ScheduleFar(ms) => {
-                    let at = wheel.now() + SimDuration::from_millis(ms);
-                    schedule(at, &mut wheel, &mut indexed, &mut lazy, &mut model,
-                             &mut tokens, &mut next_seq);
-                }
+                QueueOp::Schedule(_) | QueueOp::ScheduleNs(_) | QueueOp::ScheduleFar(_) => {}
                 QueueOp::Cancel(i) => {
                     if tokens.is_empty() {
                         continue;
                     }
-                    let (wtok, itok, ltok, seq) = tokens.swap_remove(i % tokens.len());
-                    prop_assert!(wheel.cancel(wtok), "wheel refused live token {}", seq);
-                    prop_assert!(indexed.cancel(itok), "indexed refused live token {}", seq);
-                    prop_assert!(lazy.cancel(ltok), "lazy refused live token {}", seq);
+                    let (tok, seq) = tokens.swap_remove(i % tokens.len());
+                    prop_assert!(q.cancel(tok), "refused live token {}", seq);
                     let mi = model
                         .live
                         .iter()
@@ -225,99 +192,62 @@ proptest! {
                         .expect("model out of sync");
                     model.live.remove(mi);
                     // Eager removal: exact len immediately, and a second
-                    // cancel of the same token must refuse — on every impl.
-                    prop_assert_eq!(wheel.len(), model.live.len());
-                    prop_assert_eq!(indexed.len(), model.live.len());
-                    prop_assert!(!wheel.cancel(wtok));
-                    prop_assert!(!indexed.cancel(itok));
-                    prop_assert!(!lazy.cancel(ltok));
+                    // cancel of the same token must refuse.
+                    prop_assert_eq!(q.len(), model.live.len());
+                    prop_assert!(!q.cancel(tok));
                 }
                 QueueOp::Pop => {
-                    let wgot = wheel.pop().map(|(t, v)| (t.as_nanos(), v));
-                    let igot = indexed.pop().map(|(t, v)| (t.as_nanos(), v));
-                    let lgot = lazy.pop().map(|(t, v)| (t.as_nanos(), v));
+                    let got = q.pop().map(|(t, v)| (t.as_nanos(), v));
                     let want = model.pop();
-                    prop_assert_eq!(wgot, want);
-                    prop_assert_eq!(igot, want);
-                    prop_assert_eq!(lgot, want);
+                    prop_assert_eq!(got, want);
                     if let Some((_, v)) = want {
-                        let ti = tokens.iter().position(|&(_, _, _, s)| s == v);
+                        let ti = tokens.iter().position(|&(_, s)| s == v);
                         if let Some(ti) = ti {
-                            let (wtok, itok, ltok, _) = tokens.swap_remove(ti);
-                            // A popped event's token is dead everywhere.
-                            prop_assert!(!wheel.cancel(wtok));
-                            prop_assert!(!indexed.cancel(itok));
-                            prop_assert!(!lazy.cancel(ltok));
+                            // A popped event's token is dead.
+                            prop_assert!(!q.cancel(tokens.swap_remove(ti).0));
                         }
                     }
                 }
-                QueueOp::PopBatch => {
-                    let wt = wheel.pop_batch();
-                    let it = indexed.pop_batch();
-                    prop_assert_eq!(wt, it);
-                    let Some(t) = wt else {
-                        prop_assert!(model.live.is_empty());
-                        continue;
-                    };
-                    let mut wbatch = Vec::new();
-                    while let Some(v) = wheel.batch_pop() {
-                        wbatch.push(v);
-                    }
-                    let mut ibatch = Vec::new();
-                    while let Some(v) = indexed.batch_pop() {
-                        ibatch.push(v);
-                    }
-                    let mut want = Vec::new();
-                    while model.peek_time() == Some(t.as_nanos()) {
-                        want.push(model.pop().expect("peeked entry vanished").1);
-                    }
-                    prop_assert!(!want.is_empty(), "batch at {} not in model", t);
-                    prop_assert_eq!(&wbatch, &want);
-                    prop_assert_eq!(&ibatch, &want);
-                    for &v in &want {
-                        let lgot = lazy.pop();
-                        prop_assert_eq!(lgot, Some((t, v)));
-                        let ti = tokens.iter().position(|&(_, _, _, s)| s == v);
-                        if let Some(ti) = ti {
-                            let (wtok, itok, ltok, _) = tokens.swap_remove(ti);
-                            prop_assert!(!wheel.cancel(wtok));
-                            prop_assert!(!indexed.cancel(itok));
-                            prop_assert!(!lazy.cancel(ltok));
+                QueueOp::PopWithin(ns) => {
+                    let (now, len, peek) = (q.now(), q.len(), q.peek_time());
+                    let limit = now + SimDuration::from_nanos(ns);
+                    match q.pop_within(limit) {
+                        PopNext::Empty => prop_assert!(model.live.is_empty()),
+                        PopNext::Deferred(t) => {
+                            prop_assert_eq!(Some(t.as_nanos()), model.peek_time());
+                            prop_assert!(t > limit);
+                            prop_assert_eq!(q.now(), now);
+                            prop_assert_eq!(q.len(), len);
+                            prop_assert_eq!(q.peek_time(), peek);
+                        }
+                        PopNext::Popped(t, v) => {
+                            prop_assert!(t <= limit);
+                            prop_assert_eq!(Some((t.as_nanos(), v)), model.pop());
+                            prop_assert_eq!(q.now(), t);
+                            let ti = tokens.iter().position(|&(_, s)| s == v);
+                            if let Some(ti) = ti {
+                                prop_assert!(!q.cancel(tokens.swap_remove(ti).0));
+                            }
                         }
                     }
                 }
                 QueueOp::Peek => {
-                    let want = model.peek_time();
-                    prop_assert_eq!(wheel.peek_time().map(|t| t.as_nanos()), want);
-                    prop_assert_eq!(indexed.peek_time().map(|t| t.as_nanos()), want);
+                    prop_assert_eq!(q.peek_time().map(|t| t.as_nanos()), model.peek_time());
                 }
             }
-            prop_assert_eq!(wheel.len(), model.live.len());
-            prop_assert_eq!(wheel.live_len(), model.live.len());
-            prop_assert_eq!(wheel.is_empty(), model.live.is_empty());
-            prop_assert_eq!(indexed.len(), model.live.len());
-            prop_assert_eq!(indexed.now(), wheel.now());
+            prop_assert_eq!(q.len(), model.live.len());
+            prop_assert_eq!(q.is_empty(), model.live.is_empty());
         }
         // Drain: remaining events agree in full (time, value) order.
-        let mut wgot = Vec::new();
-        while let Some((t, v)) = wheel.pop() {
-            wgot.push((t.as_nanos(), v));
-        }
-        let mut igot = Vec::new();
-        while let Some((t, v)) = indexed.pop() {
-            igot.push((t.as_nanos(), v));
-        }
-        let mut lgot = Vec::new();
-        while let Some((t, v)) = lazy.pop() {
-            lgot.push((t.as_nanos(), v));
+        let mut got = Vec::new();
+        while let Some((t, v)) = q.pop() {
+            got.push((t.as_nanos(), v));
         }
         let mut want = Vec::new();
         while let Some(e) = model.pop() {
             want.push(e);
         }
-        prop_assert_eq!(&wgot, &want);
-        prop_assert_eq!(&igot, &want);
-        prop_assert_eq!(&lgot, &want);
+        prop_assert_eq!(&got, &want);
     }
 
     /// The time-weighted gauge equals a straightforward integral.
@@ -363,41 +293,5 @@ proptest! {
         let q2 = h.quantile(0.5);
         let q3 = h.quantile(0.99);
         prop_assert!(q1 <= q2 && q2 <= q3 && q3 <= h.max());
-    }
-}
-
-proptest! {
-    /// The shard partitioner is a total, balanced, stable partition: the
-    /// effective shard count is clamped to `[1, cpus]`, every CPU maps to
-    /// exactly one in-range shard, shard sizes differ by at most one, CPU
-    /// blocks are contiguous (monotone shard ids), and space homing is an
-    /// in-range pure function of the space id.
-    #[test]
-    fn shard_plan_is_a_balanced_partition(
-        requested in 0u32..40,
-        cpus in 1u32..64,
-        space in any::<u32>(),
-    ) {
-        let plan = sa_sim::ShardPlan::new(requested, cpus, SimDuration::from_micros(15));
-        let n = plan.n_shards();
-        prop_assert!(n >= 1 && n <= cpus, "shard count {} outside [1, {}]", n, cpus);
-        prop_assert!(requested == 0 || n <= requested.max(1));
-        let mut sizes = vec![0u32; n as usize];
-        let mut prev = 0u32;
-        for c in 0..cpus as usize {
-            let s = plan.cpu_shard(c);
-            prop_assert!(s < n, "cpu {} homed to out-of-range shard {}", c, s);
-            prop_assert!(s >= prev, "cpu blocks not contiguous at cpu {}", c);
-            prev = s;
-            sizes[s as usize] += 1;
-        }
-        let (min, max) = (
-            *sizes.iter().min().expect("at least one shard"),
-            *sizes.iter().max().expect("at least one shard"),
-        );
-        prop_assert!(min >= 1, "an empty shard exists: {:?}", sizes);
-        prop_assert!(max - min <= 1, "unbalanced partition: {:?}", sizes);
-        prop_assert!(plan.space_shard(space) < n);
-        prop_assert_eq!(plan.space_shard(space), plan.space_shard(space));
     }
 }
