@@ -413,11 +413,10 @@ fn peak_rss_kb() -> Option<u64> {
 
 /// The §4.1 allocation decision on a synthetic eight-space view, called
 /// `iters` times. `boxed` routes each call through `Box<dyn AllocPolicy>`
-/// exactly as the kernel's rebalance does since the policy split;
-/// otherwise the concrete `SpaceShareEven` is called directly, which the
-/// compiler can inline — the pre-split shape. The delta between the two
-/// is the trait-object dispatch overhead the `policy_dispatch` bench line
-/// tracks.
+/// exactly as the kernel's rebalance does; otherwise the concrete
+/// `SpaceShareEven` is called directly, which the compiler can inline.
+/// The delta between the two is the trait-object dispatch overhead the
+/// `policy_dispatch` bench line tracks.
 fn alloc_policy_microloop(iters: u64, boxed: bool) -> f64 {
     let spaces: Vec<SpaceDemand> = (0..8)
         .map(|i| SpaceDemand {
@@ -558,8 +557,8 @@ fn engine_bench(jobs: NonZeroUsize) -> Result<(), PanickedJob> {
     ));
 
     // Allocation-policy dispatch: the same §4.1 division through the
-    // policy trait object (how the kernel's `Custom` fallback calls it)
-    // vs the inlined concrete call (the monomorphic fast path). Repeats
+    // policy trait object (the kernel's own call shape) vs the inlined
+    // concrete call (what devirtualizing it would buy). Repeats
     // are interleaved across the two shapes and the best kept per shape —
     // the earlier back-to-back measurement let host-frequency drift
     // between the two loops invert the ratio on slow containers. The

@@ -88,7 +88,6 @@ pub struct SystemBuilder {
     daemons: Vec<DaemonSpec>,
     disk: DiskConfig,
     seed: u64,
-    dyn_policies: bool,
     run_limit: SimTime,
     trace: Option<Trace>,
     windowed: Option<SimDuration>,
@@ -108,7 +107,6 @@ impl SystemBuilder {
             daemons: Vec::new(),
             disk: DiskConfig::default(),
             seed: 0x5eed,
-            dyn_policies: false,
             run_limit: SimTime::from_millis(600_000),
             trace: None,
             windowed: None,
@@ -188,15 +186,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Routes the allocation and ready policies through their original
-    /// `Box<dyn>` trait objects instead of the enum-dispatched fast path.
-    /// Observationally equivalent by construction; differential tests run
-    /// both shapes and diff the traces.
-    pub fn dyn_policies(mut self, on: bool) -> Self {
-        self.dyn_policies = on;
-        self
-    }
-
     /// Adds an application.
     pub fn app(mut self, app: AppSpec) -> Self {
         self.apps.push(app);
@@ -227,9 +216,6 @@ impl SystemBuilder {
             run_limit: self.run_limit,
         };
         let mut kernel = Kernel::new(cfg, self.cost);
-        if self.dyn_policies {
-            kernel.set_alloc_policy(self.alloc_policy.build());
-        }
         if let Some(trace) = self.trace {
             kernel.set_trace(trace);
         }
@@ -257,13 +243,8 @@ impl SystemBuilder {
                     cfg.lock_policy = app.lock_policy;
                     cfg.priority_scheduling = app.priority_scheduling;
                     cfg.ready_policy = app.ready_policy;
-                    let ready_kind = cfg.ready_policy;
-                    let mut rt = FastThreads::new(cfg);
-                    if self.dyn_policies {
-                        rt.set_ready_policy(ready_kind.build());
-                    }
                     SpaceKindSpec::UserLevel {
-                        runtime: Box::new(rt),
+                        runtime: Box::new(FastThreads::new(cfg)),
                         main: app.main,
                     }
                 }
@@ -273,13 +254,8 @@ impl SystemBuilder {
                     cfg.lock_policy = app.lock_policy;
                     cfg.priority_scheduling = app.priority_scheduling;
                     cfg.ready_policy = app.ready_policy;
-                    let ready_kind = cfg.ready_policy;
-                    let mut rt = FastThreads::new(cfg);
-                    if self.dyn_policies {
-                        rt.set_ready_policy(ready_kind.build());
-                    }
                     SpaceKindSpec::UserLevel {
-                        runtime: Box::new(rt),
+                        runtime: Box::new(FastThreads::new(cfg)),
                         main: app.main,
                     }
                 }

@@ -1,56 +1,26 @@
-//! Dispatch-flattening observational equivalence: the monomorphized
-//! policy fast path (enum-dispatched `ReadyPolicySelect` /
-//! `AllocPolicySelect`, the default) and the original `Box<dyn>`
-//! trait-object shape (`SystemBuilder::dyn_policies(true)`) must drive
-//! byte-identical runs — same trace records, same virtual timings.
-//! Devirtualization is a host-cost optimization only; it may never
-//! perturb virtual-time behavior. These tests diff whole-system traces
-//! over the Figure 1- and Table 5-shaped scenarios, the same scenarios
-//! the event-core identity tests pin.
+//! The allocation-policy extension point: a policy installed with
+//! `Kernel::set_alloc_policy` after the system is built must drive a run
+//! byte-identical to the same policy configured through
+//! `SystemBuilder::alloc_policy` — same trace records, same virtual
+//! timings. This pins that `Kernel::new` caches nothing from the policy
+//! it was built with (for example `Hysteresis`'s minimum dwell), which is
+//! what lets the repository benchmark wrap a policy in a timing shim
+//! without perturbing the run it measures.
 
 use sa_core::{AppSpec, SystemBuilder, ThreadApi};
+use sa_kernel::AllocPolicyKind;
 use sa_machine::CostModel;
 use sa_sim::{SimDuration, Trace, TraceRecord};
 use sa_workload::nbody::NBodyConfig;
 
-/// Runs a Figure 1-shaped system (one N-body app on scheduler activations,
-/// six CPUs, Topaz daemons) with either dispatch shape and returns the
-/// full trace plus per-app elapsed times.
-fn fig1_run(dyn_policies: bool, seed: u64) -> (Vec<TraceRecord>, Vec<Option<SimDuration>>) {
-    let cfg = NBodyConfig {
-        bodies: 40,
-        steps: 2,
-        ..NBodyConfig::default()
-    };
-    let (body, _handle) = sa_workload::nbody::nbody_parallel(cfg);
-    let mut sys = SystemBuilder::new(6)
-        .cost(CostModel::firefly_prototype())
-        .seed(seed)
-        .dyn_policies(dyn_policies)
-        .daemons(sa_kernel::DaemonSpec::topaz_default_set())
-        .trace(Trace::bounded(200_000))
-        .app(AppSpec::new(
-            "nbody-dispatch-id",
-            ThreadApi::SchedulerActivations { max_processors: 6 },
-            body,
-        ))
-        .build();
-    let report = sys.run();
-    assert!(
-        report.all_done(),
-        "dyn={dyn_policies}: {:?}",
-        report.outcome
-    );
-    assert_eq!(sys.kernel().trace().dropped(), 0, "trace buffer too small");
-    let records = sys.kernel().trace().records().cloned().collect();
-    (records, report.elapsed)
-}
-
 /// Runs a Table 5-shaped system (two multiprogrammed copies of the N-body
-/// app under `api`, six CPUs) with either dispatch shape.
+/// app on scheduler activations, six CPUs) under `kind`, either
+/// configured (`installed == false`) or installed into the kernel of a
+/// default-policy build, and returns the full trace plus per-app elapsed
+/// times.
 fn table5_run(
-    dyn_policies: bool,
-    api: ThreadApi,
+    kind: AllocPolicyKind,
+    installed: bool,
     seed: u64,
 ) -> (Vec<TraceRecord>, Vec<Option<SimDuration>>) {
     let cfg = NBodyConfig {
@@ -61,17 +31,26 @@ fn table5_run(
     let mut builder = SystemBuilder::new(6)
         .cost(CostModel::firefly_prototype())
         .seed(seed)
-        .dyn_policies(dyn_policies)
         .trace(Trace::bounded(200_000));
+    if !installed {
+        builder = builder.alloc_policy(kind);
+    }
     for copy in 0..2 {
         let (body, _handle) = sa_workload::nbody::nbody_parallel(cfg.clone());
-        builder = builder.app(AppSpec::new(format!("nbody-mp{copy}"), api.clone(), body));
+        builder = builder.app(AppSpec::new(
+            format!("nbody-mp{copy}"),
+            ThreadApi::SchedulerActivations { max_processors: 6 },
+            body,
+        ));
     }
     let mut sys = builder.build();
+    if installed {
+        sys.kernel_mut().set_alloc_policy(kind.build());
+    }
     let report = sys.run();
     assert!(
         report.all_done(),
-        "dyn={dyn_policies}/{api:?}: {:?}",
+        "{kind}/installed={installed}: {:?}",
         report.outcome
     );
     assert_eq!(sys.kernel().trace().dropped(), 0, "trace buffer too small");
@@ -79,36 +58,24 @@ fn table5_run(
     (records, report.elapsed)
 }
 
-/// Element-wise comparison so a divergence reports the first differing
-/// record instead of dumping both multi-thousand-record traces.
-fn assert_identical(
-    label: &str,
-    fast: (Vec<TraceRecord>, Vec<Option<SimDuration>>),
-    dyn_shape: (Vec<TraceRecord>, Vec<Option<SimDuration>>),
-) {
-    assert_eq!(fast.1, dyn_shape.1, "{label}: elapsed times diverge");
-    assert!(!fast.0.is_empty(), "{label}: tracing produced no records");
-    for (i, (a, b)) in fast.0.iter().zip(&dyn_shape.0).enumerate() {
-        assert_eq!(a, b, "{label}: traces diverge at record {i}");
-    }
-    assert_eq!(fast.0.len(), dyn_shape.0.len(), "{label}: trace lengths");
-}
-
 #[test]
-fn fig1_scenario_trace_identical_across_dispatch_shapes() {
-    assert_identical("fig1", fig1_run(false, 42), fig1_run(true, 42));
-}
-
-#[test]
-fn table5_scenario_trace_identical_across_dispatch_shapes() {
-    for api in [
-        ThreadApi::SchedulerActivations { max_processors: 6 },
-        ThreadApi::OrigFastThreads { vps: 3 },
-    ] {
-        assert_identical(
-            "table5",
-            table5_run(false, api.clone(), 9),
-            table5_run(true, api, 9),
+fn installed_alloc_policy_matches_configured_policy() {
+    for kind in AllocPolicyKind::ALL {
+        let (configured, configured_elapsed) = table5_run(kind, false, 9);
+        let (installed, installed_elapsed) = table5_run(kind, true, 9);
+        assert_eq!(
+            configured_elapsed, installed_elapsed,
+            "{kind}: elapsed times diverge"
         );
+        assert!(
+            !configured.is_empty(),
+            "{kind}: tracing produced no records"
+        );
+        // Element-wise, so a divergence reports the first differing record
+        // instead of dumping both multi-thousand-record traces.
+        for (i, (a, b)) in configured.iter().zip(&installed).enumerate() {
+            assert_eq!(a, b, "{kind}: traces diverge at record {i}");
+        }
+        assert_eq!(configured.len(), installed.len(), "{kind}: trace lengths");
     }
 }

@@ -83,10 +83,4 @@ impl Kernel {
     pub fn is_debug_stopped(&self, act: ActId) -> bool {
         self.acts[act.index()].state == ActState::DebugStopped
     }
-
-    /// The activations currently running for a space (debugger UI helper:
-    /// lists the space's physical processors and their vessels).
-    pub fn running_activations(&self, space: crate::ids::AsId) -> Vec<ActId> {
-        self.spaces[space.index()].sa.running.clone()
-    }
 }

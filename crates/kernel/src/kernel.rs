@@ -7,7 +7,7 @@ use crate::ids::{ActId, AsId, KtId};
 use crate::io::DiskOp;
 use crate::kthread::{KtState, KtTable};
 use crate::metrics::{KernelMetrics, RunOutcome, SpaceMetrics};
-use crate::policy::{AllocPolicy, AllocPolicySelect};
+use crate::policy::AllocPolicy;
 use crate::sched::ReadyQueue;
 use crate::space::{Residency, SaState, Space, SpaceKind};
 use sa_machine::{CostModel, Disk};
@@ -182,9 +182,9 @@ pub struct Kernel {
     pub(crate) quiesce_dirty: bool,
     /// The processor-allocation policy (built from
     /// [`KernelConfig::alloc_policy`]; the mechanism in `alloc.rs` asks
-    /// it for targets and grant picks). Enum-dispatched: the built-in
-    /// policies resolve statically (see [`AllocPolicySelect`]).
-    pub(crate) alloc_policy: AllocPolicySelect,
+    /// it for targets and grant picks, or replaced by
+    /// [`Kernel::set_alloc_policy`]).
+    pub(crate) alloc_policy: Box<dyn AllocPolicy>,
 }
 
 impl Kernel {
@@ -207,7 +207,7 @@ impl Kernel {
         let n_cpus = cfg.cpus as usize;
         let disk = Disk::new(cfg.disk);
         let rng = SimRng::new(cfg.seed);
-        let alloc_policy = cfg.alloc_policy.build_select();
+        let alloc_policy = cfg.alloc_policy.build();
         let segs = crate::exec::SegCache::new(&cost);
         let mut kernel = Kernel {
             cfg,
@@ -248,11 +248,14 @@ impl Kernel {
         self.trace = trace;
     }
 
-    /// Replaces the allocation policy with a custom trait-object policy —
-    /// the pre-flattening dynamic-dispatch shape (differential tests use
-    /// this to pin enum dispatch to the `Box<dyn>` path byte-for-byte).
+    /// Replaces the allocation policy: the extension point for policies
+    /// outside [`crate::AllocPolicyKind`] (the repository benchmark
+    /// installs a timing wrapper here). The kernel caches nothing from
+    /// the policy it was built with, so a replacement installed before
+    /// [`Kernel::run`] drives the run exactly as if it had been
+    /// configured.
     pub fn set_alloc_policy(&mut self, p: Box<dyn AllocPolicy>) {
-        self.alloc_policy = AllocPolicySelect::Custom(p);
+        self.alloc_policy = p;
     }
 
     /// Read access to the trace.

@@ -324,18 +324,6 @@ impl AllocPolicyKind {
         }
     }
 
-    /// Instantiates the policy as an enum-dispatched
-    /// [`AllocPolicySelect`] (the kernel's storage form: built-in
-    /// policies dispatch statically, see the type's docs).
-    pub fn build_select(self) -> AllocPolicySelect {
-        match self {
-            AllocPolicyKind::SpaceShareEven => AllocPolicySelect::Even(SpaceShareEven),
-            AllocPolicyKind::Affinity => AllocPolicySelect::Affinity(Affinity),
-            AllocPolicyKind::StrictPriority => AllocPolicySelect::StrictPriority(StrictPriority),
-            AllocPolicyKind::Hysteresis => AllocPolicySelect::Hysteresis(Hysteresis::default()),
-        }
-    }
-
     /// Instantiates the policy as a trait object.
     pub fn build(self) -> Box<dyn AllocPolicy> {
         match self {
@@ -366,76 +354,6 @@ impl FromStr for AllocPolicyKind {
                 "unknown allocation policy '{other}' (expected one of: {})",
                 AllocPolicyKind::ALL.map(|k| k.name()).join(", ")
             )),
-        }
-    }
-}
-
-/// Enum-dispatched allocation-policy holder: the kernel's storage form.
-///
-/// Every kernel configures one of the built-in policies via
-/// [`AllocPolicyKind`], so the `Box<dyn AllocPolicy>` the kernel held
-/// since the policy/mechanism split was provably monomorphic at every
-/// `targets`/`pick_cpu` call; this enum resolves those calls statically
-/// while [`Custom`] keeps the open trait for external policies — and
-/// doubles as the pre-flattening dynamic-dispatch shape for differential
-/// tests.
-///
-/// [`Custom`]: AllocPolicySelect::Custom
-pub enum AllocPolicySelect {
-    /// [`SpaceShareEven`], statically dispatched.
-    Even(SpaceShareEven),
-    /// [`Affinity`], statically dispatched.
-    Affinity(Affinity),
-    /// [`StrictPriority`], statically dispatched.
-    StrictPriority(StrictPriority),
-    /// [`Hysteresis`], statically dispatched.
-    Hysteresis(Hysteresis),
-    /// Any other policy, behind the original trait object.
-    Custom(Box<dyn AllocPolicy>),
-}
-
-impl AllocPolicySelect {
-    /// Stable policy name (see [`AllocPolicy::name`]).
-    pub fn name(&self) -> &'static str {
-        match self {
-            AllocPolicySelect::Even(p) => p.name(),
-            AllocPolicySelect::Affinity(p) => p.name(),
-            AllocPolicySelect::StrictPriority(p) => p.name(),
-            AllocPolicySelect::Hysteresis(p) => p.name(),
-            AllocPolicySelect::Custom(p) => p.name(),
-        }
-    }
-
-    /// See [`AllocPolicy::targets`].
-    pub fn targets(&self, view: &AllocView<'_>) -> (Vec<u32>, bool) {
-        match self {
-            AllocPolicySelect::Even(p) => p.targets(view),
-            AllocPolicySelect::Affinity(p) => p.targets(view),
-            AllocPolicySelect::StrictPriority(p) => p.targets(view),
-            AllocPolicySelect::Hysteresis(p) => p.targets(view),
-            AllocPolicySelect::Custom(p) => p.targets(view),
-        }
-    }
-
-    /// See [`AllocPolicy::pick_cpu`].
-    pub fn pick_cpu(&self, view: &AllocView<'_>, space: usize, free: &[usize]) -> usize {
-        match self {
-            AllocPolicySelect::Even(p) => p.pick_cpu(view, space, free),
-            AllocPolicySelect::Affinity(p) => p.pick_cpu(view, space, free),
-            AllocPolicySelect::StrictPriority(p) => p.pick_cpu(view, space, free),
-            AllocPolicySelect::Hysteresis(p) => p.pick_cpu(view, space, free),
-            AllocPolicySelect::Custom(p) => p.pick_cpu(view, space, free),
-        }
-    }
-
-    /// See [`AllocPolicy::min_dwell`].
-    pub fn min_dwell(&self) -> Option<SimDuration> {
-        match self {
-            AllocPolicySelect::Even(p) => p.min_dwell(),
-            AllocPolicySelect::Affinity(p) => p.min_dwell(),
-            AllocPolicySelect::StrictPriority(p) => p.min_dwell(),
-            AllocPolicySelect::Hysteresis(p) => p.min_dwell(),
-            AllocPolicySelect::Custom(p) => p.min_dwell(),
         }
     }
 }

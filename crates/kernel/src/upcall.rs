@@ -383,12 +383,6 @@ impl<'a> RtEnv<'a> {
     pub fn kick(&mut self, vp: VpId) {
         self.kicks.push(vp);
     }
-
-    /// The kicks requested so far (drivers consume these after each
-    /// callback; the kernel does so internally).
-    pub fn take_kicks(&mut self) -> Vec<VpId> {
-        std::mem::take(&mut self.kicks)
-    }
 }
 
 /// A user-level thread system, as seen by the kernel.

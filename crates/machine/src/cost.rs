@@ -224,14 +224,6 @@ impl CostModel {
             ..Self::firefly_prototype()
         }
     }
-
-    /// A uniform fast model for property tests and fuzzing, where absolute
-    /// magnitudes are irrelevant but relative ordering of costs is kept.
-    pub fn uniform_test() -> Self {
-        let mut m = Self::firefly_prototype();
-        m.quantum = SimDuration::from_millis(5);
-        m
-    }
 }
 
 #[cfg(test)]

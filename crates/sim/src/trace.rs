@@ -347,7 +347,6 @@ enum Mode {
 #[derive(Debug)]
 pub struct Tracer {
     mode: Mode,
-    echo: bool,
     records: VecDeque<TraceRecord>,
     dropped: u64,
 }
@@ -368,7 +367,6 @@ impl Tracer {
     pub fn disabled() -> Self {
         Tracer {
             mode: Mode::Disabled,
-            echo: false,
             records: VecDeque::new(),
             dropped: 0,
         }
@@ -379,7 +377,6 @@ impl Tracer {
     pub fn bounded(capacity: usize) -> Self {
         Tracer {
             mode: Mode::Ring(capacity),
-            echo: false,
             records: VecDeque::with_capacity(capacity.min(4096)),
             dropped: 0,
         }
@@ -391,16 +388,9 @@ impl Tracer {
     pub fn unbounded() -> Self {
         Tracer {
             mode: Mode::Unbounded,
-            echo: false,
             records: VecDeque::new(),
             dropped: 0,
         }
-    }
-
-    /// Also print each record to stdout as it is emitted (for examples).
-    pub fn with_echo(mut self) -> Self {
-        self.echo = true;
-        self
     }
 
     /// True if records are being kept.
@@ -416,9 +406,6 @@ impl Tracer {
             return;
         }
         let rec = TraceRecord { at, event: make() };
-        if self.echo {
-            println!("[{at}] {}: {}", rec.tag(), rec.event);
-        }
         match self.mode {
             Mode::Disabled => unreachable!("checked above"),
             Mode::Ring(0) => {

@@ -316,23 +316,12 @@ impl ReadyPolicyKind {
         }
     }
 
-    /// Instantiates the discipline as an enum-dispatched
-    /// [`ReadyPolicySelect`] (the runtime's storage form: built-in
-    /// disciplines dispatch statically, see the type's docs).
-    pub fn build_select(self) -> ReadyPolicySelect {
+    /// Instantiates the discipline in the runtime's storage form.
+    pub(crate) fn build(self) -> ReadyPolicySelect {
         match self {
             ReadyPolicyKind::LocalLifo => ReadyPolicySelect::LocalLifo(LocalLifo::default()),
             ReadyPolicyKind::GlobalFifo => ReadyPolicySelect::GlobalFifo(GlobalFifo::default()),
             ReadyPolicyKind::GlobalLifo => ReadyPolicySelect::GlobalLifo(GlobalLifo::default()),
-        }
-    }
-
-    /// Instantiates the discipline as a trait object.
-    pub fn build(self) -> Box<dyn ReadyPolicy> {
-        match self {
-            ReadyPolicyKind::LocalLifo => Box::<LocalLifo>::default(),
-            ReadyPolicyKind::GlobalFifo => Box::<GlobalFifo>::default(),
-            ReadyPolicyKind::GlobalLifo => Box::<GlobalLifo>::default(),
         }
     }
 }
@@ -361,33 +350,27 @@ impl FromStr for ReadyPolicyKind {
 
 /// Enum-dispatched ready-policy holder: the runtime's storage form.
 ///
-/// Every simulation configures one of the built-in disciplines via
-/// [`ReadyPolicyKind`], so the `Box<dyn ReadyPolicy>` indirection on the
-/// dispatch path was provably monomorphic; this enum lets the compiler
-/// resolve (and inline) those calls statically while [`Custom`] keeps the
-/// open trait for external disciplines — and doubles as the
-/// pre-flattening dynamic-dispatch shape for differential tests.
-///
-/// [`Custom`]: ReadyPolicySelect::Custom
-pub enum ReadyPolicySelect {
+/// Every runtime configures one of the built-in disciplines via
+/// [`ReadyPolicyKind`], and every thread transition goes through the
+/// ready queue, so the calls are resolved (and inlined) statically
+/// rather than through a `Box<dyn ReadyPolicy>`.
+pub(crate) enum ReadyPolicySelect {
     /// [`LocalLifo`], statically dispatched.
     LocalLifo(LocalLifo),
     /// [`GlobalFifo`], statically dispatched.
     GlobalFifo(GlobalFifo),
     /// [`GlobalLifo`], statically dispatched.
     GlobalLifo(GlobalLifo),
-    /// Any other discipline, behind the original trait object.
-    Custom(Box<dyn ReadyPolicy>),
 }
 
 impl ReadyPolicySelect {
     /// Stable policy name (see [`ReadyPolicy::name`]).
-    pub fn name(&self) -> &'static str {
+    #[cfg(test)]
+    fn name(&self) -> &'static str {
         match self {
             ReadyPolicySelect::LocalLifo(p) => p.name(),
             ReadyPolicySelect::GlobalFifo(p) => p.name(),
             ReadyPolicySelect::GlobalLifo(p) => p.name(),
-            ReadyPolicySelect::Custom(p) => p.name(),
         }
     }
 
@@ -397,7 +380,6 @@ impl ReadyPolicySelect {
             ReadyPolicySelect::LocalLifo(p) => p.ensure_slots(n),
             ReadyPolicySelect::GlobalFifo(p) => p.ensure_slots(n),
             ReadyPolicySelect::GlobalLifo(p) => p.ensure_slots(n),
-            ReadyPolicySelect::Custom(p) => p.ensure_slots(n),
         }
     }
 
@@ -408,7 +390,6 @@ impl ReadyPolicySelect {
             ReadyPolicySelect::LocalLifo(p) => p.push(slot, t),
             ReadyPolicySelect::GlobalFifo(p) => p.push(slot, t),
             ReadyPolicySelect::GlobalLifo(p) => p.push(slot, t),
-            ReadyPolicySelect::Custom(p) => p.push(slot, t),
         }
     }
 
@@ -419,7 +400,6 @@ impl ReadyPolicySelect {
             ReadyPolicySelect::LocalLifo(p) => p.push_cold(slot, t),
             ReadyPolicySelect::GlobalFifo(p) => p.push_cold(slot, t),
             ReadyPolicySelect::GlobalLifo(p) => p.push_cold(slot, t),
-            ReadyPolicySelect::Custom(p) => p.push_cold(slot, t),
         }
     }
 
@@ -430,7 +410,6 @@ impl ReadyPolicySelect {
             ReadyPolicySelect::LocalLifo(p) => p.pop(slot),
             ReadyPolicySelect::GlobalFifo(p) => p.pop(slot),
             ReadyPolicySelect::GlobalLifo(p) => p.pop(slot),
-            ReadyPolicySelect::Custom(p) => p.pop(slot),
         }
     }
 
@@ -440,7 +419,6 @@ impl ReadyPolicySelect {
             ReadyPolicySelect::LocalLifo(p) => p.pop_best(slot, prio),
             ReadyPolicySelect::GlobalFifo(p) => p.pop_best(slot, prio),
             ReadyPolicySelect::GlobalLifo(p) => p.pop_best(slot, prio),
-            ReadyPolicySelect::Custom(p) => p.pop_best(slot, prio),
         }
     }
 
@@ -450,7 +428,6 @@ impl ReadyPolicySelect {
             ReadyPolicySelect::LocalLifo(p) => p.len(slot),
             ReadyPolicySelect::GlobalFifo(p) => p.len(slot),
             ReadyPolicySelect::GlobalLifo(p) => p.len(slot),
-            ReadyPolicySelect::Custom(p) => p.len(slot),
         }
     }
 
@@ -460,7 +437,6 @@ impl ReadyPolicySelect {
             ReadyPolicySelect::LocalLifo(p) => p.total(),
             ReadyPolicySelect::GlobalFifo(p) => p.total(),
             ReadyPolicySelect::GlobalLifo(p) => p.total(),
-            ReadyPolicySelect::Custom(p) => p.total(),
         }
     }
 }

@@ -23,7 +23,7 @@
 //! the segment that precedes it.
 
 use crate::config::{CriticalSectionMode, FtConfig, Substrate};
-use crate::ready::{ReadyPolicy, ReadyPolicySelect};
+use crate::ready::ReadyPolicySelect;
 use crate::stats::FtStats;
 use crate::sync::{HandOff, SpinPolicy, UCv, ULock};
 use crate::types::{cookie, seg, Awaiting, RtMicro, Slot, SpinCtx, Step, TcbStore, UtId, UtState};
@@ -151,7 +151,7 @@ impl FastThreads {
             Substrate::KernelThreads { vps } => (0..vps).map(|_| Slot::new()).collect(),
             Substrate::SchedulerActivations => Vec::new(),
         };
-        let mut ready = cfg.ready_policy.build_select();
+        let mut ready = cfg.ready_policy.build();
         ready.ensure_slots(slots.len());
         FastThreads {
             cfg,
@@ -184,17 +184,6 @@ impl FastThreads {
     /// True when running on scheduler activations.
     fn is_sa(&self) -> bool {
         matches!(self.cfg.substrate, Substrate::SchedulerActivations)
-    }
-
-    /// Replaces the ready discipline with a custom trait-object policy —
-    /// the pre-flattening dynamic-dispatch shape (differential tests use
-    /// this to pin enum dispatch to the `Box<dyn>` path byte-for-byte).
-    /// Call before any thread runs; existing ready threads are not
-    /// migrated.
-    pub fn set_ready_policy(&mut self, p: Box<dyn ReadyPolicy>) {
-        let mut p = ReadyPolicySelect::Custom(p);
-        p.ensure_slots(self.slots.len());
-        self.ready = p;
     }
 
     /// Bytes resident in the hot (dispatch-path) half of the TCB slab.

@@ -488,17 +488,6 @@ impl NBodyHandle {
     pub fn steps_done(&self) -> usize {
         self.shared.borrow().steps_done
     }
-
-    /// Kinetic energy of the final state (sanity check on the physics).
-    pub fn kinetic_energy(&self) -> f64 {
-        self.shared
-            .borrow()
-            .sim
-            .bodies
-            .iter()
-            .map(|b| 0.5 * b.m * (b.vx * b.vx + b.vy * b.vy))
-            .sum()
-    }
 }
 
 /// Builds the parallel N-body application. Returns the main thread body
