@@ -19,7 +19,7 @@ impl Kernel {
         let inf = self.cpus[cpu]
             .inflight
             .take()
-            .expect("SegDone with no in-flight segment");
+            .expect("segment completion with no in-flight segment");
         // Timeline slice for the exporters; emitted at completion so a
         // preempted remainder never appears (the `is_enabled` guard keeps
         // the unit lookup off the disabled hot path).
@@ -161,14 +161,8 @@ impl Kernel {
         }
         self.metrics.segs.inc();
         let now = self.q.now();
-        let done_at = now + seg.dur;
-        let gen = self.cpus[cpu].gen;
-        let token = self.sched_ev(done_at, Event::SegDone { cpu, gen });
-        self.cpus[cpu].inflight = Some(Inflight {
-            seg,
-            started: now,
-            token,
-        });
+        self.q.arm(cpu, now + seg.dur);
+        self.cpus[cpu].inflight = Some(Inflight { seg, started: now });
     }
 
     /// Finds work for an idle CPU.
@@ -338,7 +332,7 @@ impl Kernel {
     /// the unfinished remainder (if any work remained).
     pub(crate) fn take_inflight_remainder(&mut self, cpu: usize) -> Option<Seg> {
         let inf = self.cpus[cpu].inflight.take()?;
-        self.q.cancel(inf.token);
+        self.q.disarm(cpu);
         let elapsed = self.q.now().since(inf.started);
         self.charge_seg(cpu, inf.seg, elapsed);
         let remaining = inf.seg.dur.saturating_sub(elapsed);

@@ -19,11 +19,11 @@ use sa_sim::{
 /// Priority of kernel daemon threads: above every application space.
 pub(crate) const DAEMON_PRIO: u8 = 255;
 
-/// Events driving the kernel.
+/// Events driving the kernel. Segment completions are not in this enum:
+/// each CPU's in-flight segment arms that CPU's completion slot in the
+/// queue ([`EventQueue::arm`]), delivered as [`PopNext::Slot`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Event {
-    /// The in-flight segment on `cpu` completed (stale if `gen` mismatches).
-    SegDone { cpu: usize, gen: u64 },
     /// (Re-)enter the dispatch loop on `cpu` (stale if `gen` mismatches).
     Dispatch { cpu: usize, gen: u64 },
     /// Time-slice expiry for the kernel thread on `cpu`.
@@ -47,12 +47,13 @@ pub(crate) enum Event {
 
 /// Per-CPU dispatch state.
 pub(crate) struct Cpu {
-    /// Invalidates stale per-CPU events; bumped whenever the CPU's
-    /// disposition changes.
+    /// Invalidates stale `Dispatch` and `QuantumExpire` events; bumped
+    /// whenever the CPU's disposition changes.
     pub gen: u64,
     /// What is dispatched here.
     pub running: Running,
-    /// The segment currently executing, if any.
+    /// The segment currently executing, if any; its completion is armed
+    /// in this CPU's queue slot exactly while this is set.
     pub inflight: Option<Inflight>,
     /// Which address space this CPU is allocated to (allocator mode).
     pub assigned: Option<AsId>,
@@ -78,7 +79,6 @@ pub(crate) struct Cpu {
 pub(crate) struct Inflight {
     pub seg: Seg,
     pub started: SimTime,
-    pub token: EventToken,
 }
 
 /// Per-CPU pending ledger charges, accumulated until the dispatched
@@ -213,7 +213,7 @@ impl Kernel {
             cfg,
             cost,
             segs,
-            q: EventQueue::new(),
+            q: EventQueue::with_slots(n_cpus),
             rng,
             trace: Trace::disabled(),
             cpus,
@@ -481,7 +481,8 @@ impl Kernel {
     ///
     /// Each iteration delivers one event with `pop_within` — a fused
     /// peek + pop that applies the run-limit check without a separate
-    /// queue-head scan — in the queue's strict `(time, seq)` order.
+    /// queue-head scan — in the queue's strict `(time, seq)` order. A
+    /// completion slot counts as an event like any other.
     pub fn run(&mut self) -> RunOutcome {
         loop {
             if self.all_app_spaces_done() {
@@ -506,26 +507,25 @@ impl Kernel {
                         deadlocked: false,
                     };
                 }
+                PopNext::Slot(_, cpu) => {
+                    self.metrics.events.inc();
+                    self.on_seg_done(cpu);
+                }
                 PopNext::Popped(_, ev) => {
                     self.metrics.events.inc();
                     self.handle_event(ev);
-                    if self.quiesce_dirty {
-                        self.check_quiescence();
-                    }
-                    #[cfg(debug_assertions)]
-                    self.check_invariants();
                 }
             }
+            if self.quiesce_dirty {
+                self.check_quiescence();
+            }
+            #[cfg(debug_assertions)]
+            self.check_invariants();
         }
     }
 
     fn handle_event(&mut self, ev: Event) {
         match ev {
-            Event::SegDone { cpu, gen } => {
-                if self.cpus[cpu].gen == gen {
-                    self.on_seg_done(cpu);
-                }
-            }
             Event::Dispatch { cpu, gen } => {
                 if self.cpus[cpu].gen == gen && self.cpus[cpu].inflight.is_none() {
                     self.advance_cpu(cpu);
@@ -592,6 +592,13 @@ impl Kernel {
     /// Verifies the paper's structural invariants (debug builds).
     #[cfg(debug_assertions)]
     fn check_invariants(&self) {
+        for (cpu, c) in self.cpus.iter().enumerate() {
+            assert_eq!(
+                self.q.armed_at(cpu),
+                c.inflight.as_ref().map(|inf| inf.started + inf.seg.dur),
+                "cpu{cpu}'s completion slot disagrees with its in-flight segment"
+            );
+        }
         for s in &self.spaces {
             if !s.started || s.done || !s.is_sa() {
                 continue;
@@ -738,7 +745,7 @@ impl Kernel {
     /// or its conservation invariant would leak a gap.
     pub(crate) fn cancel_inflight(&mut self, cpu: usize) {
         if let Some(inf) = self.cpus[cpu].inflight.take() {
-            self.q.cancel(inf.token);
+            self.q.disarm(cpu);
             let elapsed = self.q.now().since(inf.started);
             let space = self.running_space_index(cpu);
             self.charge_cpu(cpu, space, inf.seg.ledger_state(), elapsed);

@@ -21,6 +21,8 @@ use std::rc::Rc;
 enum Act {
     Run(u64),
     Call(Syscall),
+    /// Spin until kicked or preempted (an unbounded segment).
+    Spin,
 }
 
 /// A record of everything the kernel told the runtime.
@@ -109,6 +111,10 @@ impl UserRuntime for ProbeRuntime {
                 kind: WorkKind::UserWork,
             }),
             Some(Act::Call(call)) => VpAction::Syscall { call },
+            Some(Act::Spin) => VpAction::Spin {
+                cookie: 0,
+                kind: WorkKind::IdleSpin,
+            },
             None => {
                 if *self.outstanding_blocks.borrow() > 0 {
                     // Keep the processor; the unblock notification needs
@@ -138,13 +144,17 @@ impl UserRuntime for ProbeRuntime {
 }
 
 fn kernel(cpus: u16) -> Kernel {
+    kernel_with_limit(cpus, SimTime::from_millis(60_000))
+}
+
+fn kernel_with_limit(cpus: u16, run_limit: SimTime) -> Kernel {
     Kernel::new(
         KernelConfig {
             cpus,
             sched: SchedMode::SaAllocator,
             daemons: Vec::new(),
             seed: 3,
-            run_limit: SimTime::from_millis(60_000),
+            run_limit,
             ..KernelConfig::default()
         },
         CostModel::firefly_prototype(),
@@ -610,4 +620,28 @@ fn remainder_processors_are_time_sliced_between_spaces() {
             && k.space_metrics(AsId(1)).preemptions.get() >= 1,
         "no rotation preemptions"
     );
+}
+
+#[test]
+fn run_limit_inside_a_segment_times_out_at_the_last_event() {
+    // The 10 ms segment's completion lies past the 5 ms limit: the run
+    // stops at the previous event, the start of that segment.
+    let mut k = kernel_with_limit(1, SimTime::from_millis(5));
+    let log = LogHandle::new();
+    probe_space(&mut k, &log, vec![Act::Run(100), Act::Run(10_000)]);
+    let out = k.run();
+    assert!(out.timed_out && !out.deadlocked, "{out:?}");
+    assert_eq!(out.end, SimTime::from_micros(1_270));
+}
+
+#[test]
+fn run_limit_inside_an_unbounded_spin_times_out_at_the_spin_start() {
+    // A spin's completion saturates to `SimTime::MAX`; it must defer like
+    // any other event past the limit, not wrap or fire.
+    let mut k = kernel_with_limit(2, SimTime::from_millis(5));
+    let log = LogHandle::new();
+    probe_space(&mut k, &log, vec![Act::Run(100), Act::Spin]);
+    let out = k.run();
+    assert!(out.timed_out && !out.deadlocked, "{out:?}");
+    assert_eq!(out.end, SimTime::from_micros(1_270));
 }

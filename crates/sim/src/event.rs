@@ -41,6 +41,30 @@
 //! Tokens are generation-stamped slab indices: a slot's generation bumps
 //! every time its entry leaves the queue (pop or cancel), so a stale token
 //! held across slot reuse can never cancel the wrong event.
+//!
+//! ## Completion slots
+//!
+//! Beside the wheel, the queue holds one one-shot completion slot per
+//! simulated CPU ([`EventQueue::with_slots`]): a CPU has at most one
+//! segment in flight, so its completion is a fixed `(time, seq)` pair
+//! that [`EventQueue::arm`] writes and [`EventQueue::disarm`] clears,
+//! with no slab node, list link or bitmap bit. `arm` draws its sequence
+//! number from the same counter as `schedule`, so slots and wheel entries
+//! share one strict `(time, seq)` order and [`EventQueue::pop_within`]
+//! delivers them interleaved exactly as if the slots were wheel entries
+//! ([`PopNext::Slot`]).
+//!
+//! To compare the earliest slot with the wheel without scanning the
+//! wheel, the queue memoizes the wheel head's exact `(time, seq)`: a
+//! schedule updates it in O(1), and only removing the head (pop or
+//! cancel) forgets it. While it is unknown, a tick *floor* (a lower
+//! bound on every wheel entry's tick) lets a slot in an earlier tick win
+//! without a search. Otherwise the head search is bounded by the
+//! earliest slot's tick: it never advances the cursor past that tick,
+//! and stops, raising the floor, as soon as every wheel entry is known to
+//! lie in a later tick. A slot delivery therefore never moves the cursor
+//! past the clock, so a later `schedule` at `now` can never land behind
+//! it.
 
 use crate::time::SimTime;
 
@@ -80,6 +104,28 @@ pub enum PopNext<E> {
     Deferred(SimTime),
     /// The next event, delivered; the clock advanced to its timestamp.
     Popped(SimTime, E),
+    /// The next event is the completion armed in CPU slot `.1`; the slot
+    /// is now disarmed and the clock advanced to its timestamp.
+    Slot(SimTime, usize),
+}
+
+/// The key of a disarmed completion slot: sorts after every armed slot,
+/// including one armed at `SimTime::MAX` (sequence numbers never reach
+/// `u64::MAX`).
+const DISARMED: u128 = u128::MAX;
+
+/// A completion slot's `(time, seq)` packed into one integer with the same
+/// order, so the per-pop slot scan is a branchless integer minimum.
+fn slot_key(time: SimTime, seq: u64) -> u128 {
+    (u128::from(time.as_nanos()) << 64) | u128::from(seq)
+}
+
+/// Which holder [`EventQueue::pop_within`] delivers from.
+enum Next {
+    /// The wheel entry in this slab slot.
+    Wheel(u32),
+    /// This CPU's completion slot.
+    Slot(usize),
 }
 
 /// Where a slab node currently lives.
@@ -134,6 +180,19 @@ pub struct EventQueue<E> {
     /// leave the slot nonempty; only emptying the slot invalidates it. Lets
     /// steady-state pops and peeks skip the per-level candidate scan.
     min_slot: Option<u8>,
+    /// Memoized exact `(time, seq, slab slot)` of the minimal wheel or
+    /// overflow entry; `None` when unknown (or the wheel is empty). Exact
+    /// whenever set: a schedule lowers it, and removing the entry it
+    /// names clears it.
+    head: Option<(SimTime, u64, u32)>,
+    /// A lower bound on every live wheel entry's tick. While the head is
+    /// unknown, a slot in an earlier tick wins without any search.
+    floor: u64,
+    /// Per-CPU completion slots: [`slot_key`] of the armed completion, or
+    /// [`DISARMED`].
+    slots: Vec<u128>,
+    /// Armed completion slots.
+    armed: usize,
     next_seq: u64,
     now: SimTime,
     /// Live entries in the wheel and overflow.
@@ -147,8 +206,15 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue with the clock at zero.
+    /// Creates an empty queue with the clock at zero and no completion
+    /// slots.
     pub fn new() -> Self {
+        Self::with_slots(0)
+    }
+
+    /// Creates an empty queue with the clock at zero and `cpus` disarmed
+    /// completion slots (see the module docs).
+    pub fn with_slots(cpus: usize) -> Self {
         EventQueue {
             nodes: Vec::new(),
             free: Vec::new(),
@@ -160,6 +226,10 @@ impl<E> EventQueue<E> {
             overflow_min: None,
             cur_tick: 0,
             min_slot: None,
+            head: None,
+            floor: 0,
+            slots: vec![DISARMED; cpus],
+            armed: 0,
             next_seq: 0,
             now: SimTime::ZERO,
             live: 0,
@@ -183,15 +253,23 @@ impl<E> EventQueue<E> {
     /// Panics if `time` is before the current time; scheduling into the past
     /// indicates a bug in the caller.
     pub fn schedule(&mut self, time: SimTime, event: E) -> EventToken {
-        assert!(
-            time >= self.now,
-            "scheduled event in the past: {time} < now {}",
-            self.now
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.take_seq(time);
         let idx = self.alloc(time, seq, event);
         self.place(idx);
+        let tick = time.as_nanos() >> GRAN_SHIFT;
+        let first = match self.head {
+            _ if self.live == 0 => true,
+            Some((t, s, _)) => (time, seq) < (t, s),
+            None => tick < self.floor,
+        };
+        if first {
+            self.head = Some((time, seq, idx));
+        }
+        self.floor = if self.live == 0 {
+            tick
+        } else {
+            self.floor.min(tick)
+        };
         self.live += 1;
         EventToken {
             slot: idx,
@@ -211,50 +289,172 @@ impl<E> EventQueue<E> {
         if node.gen != token.gen || node.event.is_none() {
             return false; // stale token: already fired or cancelled
         }
+        if self.head.is_some_and(|(_, _, i)| i == token.slot) {
+            self.head = None;
+        }
         self.unlink(token.slot);
         self.live -= 1;
         self.free_node(token.slot);
         true
     }
 
+    /// Arms `cpu`'s completion slot to fire at `time`, replacing any
+    /// completion already armed there; O(1). Takes the next sequence
+    /// number, exactly as [`EventQueue::schedule`] would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is before the current time, or `cpu` has no slot.
+    pub fn arm(&mut self, cpu: usize, time: SimTime) {
+        let seq = self.take_seq(time);
+        let slot = &mut self.slots[cpu];
+        if *slot == DISARMED {
+            self.armed += 1;
+        }
+        *slot = slot_key(time, seq);
+    }
+
+    /// Disarms `cpu`'s completion slot (a no-op if it is not armed); O(1).
+    pub fn disarm(&mut self, cpu: usize) {
+        let slot = &mut self.slots[cpu];
+        if *slot != DISARMED {
+            *slot = DISARMED;
+            self.armed -= 1;
+        }
+    }
+
+    /// When `cpu`'s completion slot fires, if it is armed.
+    pub fn armed_at(&self, cpu: usize) -> Option<SimTime> {
+        let slot = self.slots[cpu];
+        (slot != DISARMED).then_some(SimTime::from_nanos((slot >> 64) as u64))
+    }
+
+    /// Checks `time` against the clock and hands out the next sequence
+    /// number (shared by wheel entries and completion slots).
+    fn take_seq(&mut self, time: SimTime) -> u64 {
+        assert!(
+            time >= self.now,
+            "scheduled event in the past: {time} < now {}",
+            self.now
+        );
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
     /// Pops the next live event, advancing the clock to its timestamp.
-    /// Returns `None` when no live events remain.
+    /// Returns `None` when no live events remain. For queues without
+    /// armed completion slots; a slot comes out of
+    /// [`EventQueue::pop_within`] only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the next event is an armed completion slot.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         match self.pop_within(SimTime::MAX) {
             PopNext::Popped(time, ev) => Some((time, ev)),
             PopNext::Empty => None,
             PopNext::Deferred(_) => unreachable!("nothing fires after SimTime::MAX"),
+            PopNext::Slot(_, cpu) => panic!("pop reached cpu{cpu}'s completion slot"),
         }
     }
 
-    /// Fused peek + pop: delivers the next live event if it fires at or
-    /// before `limit`, otherwise [`PopNext::Deferred`] leaves the queue
-    /// (and the clock) untouched. A step loop with a run-limit check thus
-    /// pays one scan of the queue head per event, not a peek plus a pop.
+    /// Fused peek + pop: delivers the next live event — a wheel entry
+    /// ([`PopNext::Popped`]) or an armed completion slot
+    /// ([`PopNext::Slot`]) — if it fires at or before `limit`, otherwise
+    /// [`PopNext::Deferred`] leaves the queue (and the clock) untouched. A
+    /// step loop with a run-limit check thus pays one scan of the queue
+    /// head per event, not a peek plus a pop.
     pub fn pop_within(&mut self, limit: SimTime) -> PopNext<E> {
-        let Some(slot) = self.prepare_min() else {
-            return PopNext::Empty;
+        let slot = self.earliest_slot();
+        let slot_tick = slot.map_or(u64::MAX, |(t, _, _)| t.as_nanos() >> GRAN_SHIFT);
+        let head = match self.head {
+            Some(h) => Some(h),
+            None if slot_tick < self.floor => None,
+            None => self.find_head(slot_tick),
         };
-        let best = self.slot_min(slot);
-        let time = self.nodes[best as usize].time;
+        let (time, next) = match (head, slot) {
+            (Some((t, s, idx)), Some((st, ss, cpu))) => {
+                if (t, s) < (st, ss) {
+                    (t, Next::Wheel(idx))
+                } else {
+                    (st, Next::Slot(cpu))
+                }
+            }
+            (Some((t, _, idx)), None) => (t, Next::Wheel(idx)),
+            (None, Some((t, _, cpu))) => (t, Next::Slot(cpu)),
+            (None, None) => return PopNext::Empty,
+        };
         if time > limit {
             self.rewind_cursor();
             return PopNext::Deferred(time);
         }
-        self.unlink(best);
-        self.live -= 1;
-        let ev = self.free_node(best);
         debug_assert!(time >= self.now, "event queue time inversion");
         self.now = time;
-        PopNext::Popped(time, ev)
+        match next {
+            Next::Wheel(idx) => {
+                self.head = None;
+                self.floor = self.floor.max(time.as_nanos() >> GRAN_SHIFT);
+                self.unlink(idx);
+                self.live -= 1;
+                PopNext::Popped(time, self.free_node(idx))
+            }
+            Next::Slot(cpu) => {
+                self.slots[cpu] = DISARMED;
+                self.armed -= 1;
+                PopNext::Slot(time, cpu)
+            }
+        }
+    }
+
+    /// The armed completion slot with the minimal `(time, seq)`, as
+    /// `(time, seq, cpu)`. A linear scan, one slot per simulated CPU, kept
+    /// free of branches: which CPU completes next is unpredictable, and a
+    /// branchy scan over eight CPUs cost more than the wheel round trip it
+    /// replaces.
+    fn earliest_slot(&self) -> Option<(SimTime, u64, usize)> {
+        if self.armed == 0 {
+            return None;
+        }
+        let (mut best, mut at) = (DISARMED, 0);
+        for (cpu, &key) in self.slots.iter().enumerate() {
+            let earlier = key < best;
+            best = if earlier { key } else { best };
+            at = if earlier { cpu } else { at };
+        }
+        Some((SimTime::from_nanos((best >> 64) as u64), best as u64, at))
+    }
+
+    /// Finds (and memoizes) the wheel head, cascading at most up to tick
+    /// `bound`. `None` if the wheel is empty or every live entry lies in a
+    /// tick after `bound` (which raises the floor past `bound`).
+    fn find_head(&mut self, bound: u64) -> Option<(SimTime, u64, u32)> {
+        let slot = self.prepare_min(bound)?;
+        let idx = self.slot_min(slot);
+        let n = &self.nodes[idx as usize];
+        let head = (n.time, n.seq, idx);
+        self.head = Some(head);
+        Some(head)
     }
 
     /// Timestamp of the next live event without popping it, if any.
     /// `&self`: the candidate scan reads bitmaps and slot lists without
     /// cascading.
     pub fn peek_time(&self) -> Option<SimTime> {
+        let slot = self.earliest_slot().map(|(t, _, _)| t);
+        match (slot, self.wheel_peek_time()) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// Timestamp of the next live wheel (or overflow) entry.
+    fn wheel_peek_time(&self) -> Option<SimTime> {
         if self.live == 0 {
             return None;
+        }
+        if let Some((t, _, _)) = self.head {
+            return Some(t);
         }
         if let Some(slot) = self.min_slot {
             return Some(self.slot_min_time(0, slot as usize));
@@ -280,15 +480,16 @@ impl<E> EventQueue<E> {
         best
     }
 
-    /// Number of pending events: scheduled and neither fired nor
-    /// cancelled. Exact: cancellation removes entries immediately.
+    /// Number of pending events: scheduled (or armed) and neither fired
+    /// nor cancelled (or disarmed). Exact: cancellation removes entries
+    /// immediately.
     pub fn len(&self) -> usize {
-        self.live
+        self.live + self.armed
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len() == 0
     }
 
     // ---- slab ----------------------------------------------------------
@@ -495,10 +696,12 @@ impl<E> EventQueue<E> {
     }
 
     /// Cascades until the globally minimal live event sits in level 0,
-    /// returning its slot; advances the cursor lazily. `None` if nothing
-    /// is live. Amortized O(1): every cascade drops its entries at least
-    /// one level.
-    fn prepare_min(&mut self) -> Option<usize> {
+    /// returning its slot; advances the cursor lazily, never past tick
+    /// `bound`. `None` if nothing is live, or once every live entry is
+    /// known to lie in a tick after `bound` (nothing moved for a slot
+    /// that will not be delivered). Amortized O(1): every cascade drops
+    /// its entries at least one level.
+    fn prepare_min(&mut self, bound: u64) -> Option<usize> {
         if self.live == 0 {
             return None;
         }
@@ -530,6 +733,10 @@ impl<E> EventQueue<E> {
                 }
             }
             debug_assert_ne!(best_level, usize::MAX, "live count drifted");
+            if best_start > bound {
+                self.floor = self.floor.max(best_start);
+                return None;
+            }
             // Lazy cursor advance — never past the minimum live tick.
             // (A candidate start can sit below the cursor when it is the
             // cursor's own partially-elapsed coarse slot; never move back.)
@@ -722,6 +929,25 @@ impl<E> EventQueue<E> {
         live += oc;
         assert_eq!(live, self.live, "live count drift");
         assert_eq!(self.live + self.free.len(), self.nodes.len(), "slab leak");
+        for n in &self.nodes {
+            assert!(
+                n.event.is_none() || n.time.as_nanos() >> GRAN_SHIFT >= self.floor,
+                "entry below the floor"
+            );
+        }
+        if let Some((t, s, idx)) = self.head {
+            let n = &self.nodes[idx as usize];
+            assert!(n.event.is_some(), "head memo names a dead entry");
+            assert_eq!((n.time, n.seq), (t, s), "head memo key drift");
+            for m in &self.nodes {
+                assert!(
+                    m.event.is_none() || (m.time, m.seq) >= (t, s),
+                    "head memo not minimal"
+                );
+            }
+        }
+        let armed = self.slots.iter().filter(|&&k| k != DISARMED).count();
+        assert_eq!(armed, self.armed, "armed-slot count drift");
     }
 }
 
@@ -899,6 +1125,83 @@ mod tests {
         assert_eq!(q.now(), t(50));
         assert_eq!(q.pop_within(t(50)), PopNext::Popped(t(50), 2));
         assert_eq!(q.pop_within(SimTime::MAX), PopNext::Empty);
+    }
+
+    #[test]
+    fn slots_interleave_with_wheel_in_schedule_order() {
+        let mut q = EventQueue::with_slots(2);
+        q.schedule(t(10), 'a');
+        q.arm(1, t(10));
+        q.schedule(t(10), 'b');
+        q.arm(0, t(5));
+        assert_eq!(q.len(), 4);
+        q.check_invariants();
+        assert_eq!(q.peek_time(), Some(t(5)));
+        assert_eq!(q.pop_within(SimTime::MAX), PopNext::Slot(t(5), 0));
+        assert_eq!(q.pop_within(SimTime::MAX), PopNext::Popped(t(10), 'a'));
+        assert_eq!(q.pop_within(SimTime::MAX), PopNext::Slot(t(10), 1));
+        assert_eq!(q.pop_within(SimTime::MAX), PopNext::Popped(t(10), 'b'));
+        assert_eq!(q.pop_within(SimTime::MAX), PopNext::Empty);
+        assert_eq!(q.armed_at(0), None);
+        q.check_invariants();
+    }
+
+    #[test]
+    fn disarm_and_rearm_replace_the_completion() {
+        let mut q: EventQueue<()> = EventQueue::with_slots(1);
+        q.arm(0, t(20));
+        q.disarm(0);
+        q.disarm(0);
+        assert!(q.is_empty());
+        q.arm(0, t(30));
+        q.arm(0, t(15));
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.armed_at(0), Some(t(15)));
+        assert_eq!(q.pop_within(t(14)), PopNext::Deferred(t(15)));
+        assert_eq!(q.pop_within(t(15)), PopNext::Slot(t(15), 0));
+        // Re-arming at `now` is legal and fires at once.
+        q.arm(0, q.now());
+        assert_eq!(q.pop_within(t(15)), PopNext::Slot(t(15), 0));
+        q.arm(0, SimTime::MAX);
+        assert_eq!(q.pop_within(t(1_000)), PopNext::Deferred(SimTime::MAX));
+        assert_eq!(q.pop_within(SimTime::MAX), PopNext::Slot(SimTime::MAX, 0));
+        q.check_invariants();
+    }
+
+    #[test]
+    fn slot_delivery_never_moves_the_cursor_past_the_clock() {
+        // The wheel head sits in a coarse level; slots keep firing before
+        // it. After each slot, scheduling at `now` must stay legal and pop
+        // first — the head search may not cascade past the slot's tick.
+        let mut q = EventQueue::with_slots(1);
+        q.schedule(SimTime::from_millis(50), 99);
+        q.schedule(t(1), 0);
+        // Popping the head leaves the memo unknown.
+        assert_eq!(q.pop_within(SimTime::MAX), PopNext::Popped(t(1), 0));
+        for i in 1..=20u64 {
+            q.arm(0, t(i * 700));
+            assert_eq!(q.pop_within(SimTime::MAX), PopNext::Slot(t(i * 700), 0));
+            q.check_invariants();
+            q.schedule(q.now(), i as i32);
+            q.check_invariants();
+            assert_eq!(
+                q.pop_within(SimTime::MAX),
+                PopNext::Popped(t(i * 700), i as i32)
+            );
+        }
+        assert_eq!(
+            q.pop_within(SimTime::MAX),
+            PopNext::Popped(SimTime::from_millis(50), 99)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduled event in the past")]
+    fn arming_in_the_past_panics() {
+        let mut q = EventQueue::with_slots(1);
+        q.schedule(t(10), ());
+        q.pop();
+        q.arm(0, t(5));
     }
 
     #[test]

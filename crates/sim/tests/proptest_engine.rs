@@ -10,7 +10,8 @@ use sa_sim::{EventQueue, PopNext, SimDuration, SimTime};
 /// wheel slot; far delays span the wheel's coarse levels up to past the
 /// ~37-minute L3 horizon (exercising the overflow list and the cascade on
 /// the way back down). `Cancel` indices are reduced modulo the current
-/// state at execution time.
+/// state at execution time. `Arm`/`Disarm` drive the per-CPU completion
+/// slots of a queue built with [`SLOTS`] of them.
 #[derive(Debug, Clone, Copy)]
 enum QueueOp {
     /// Schedule at `now + n µs` (ties common).
@@ -25,7 +26,14 @@ enum QueueOp {
     /// often falls short of the next event, exercising `Deferred`.
     PopWithin(u64),
     Peek,
+    /// Arm (or re-arm) CPU slot `.0` at `now + .1 ns`; `u64::MAX`
+    /// saturates to `SimTime::MAX`, like an unbounded spin segment.
+    Arm(usize, u64),
+    Disarm(usize),
 }
+
+/// Completion slots in the model-based interleaving test.
+const SLOTS: usize = 3;
 
 fn queue_ops() -> impl Strategy<Value = QueueOp> {
     prop_oneof![
@@ -36,15 +44,45 @@ fn queue_ops() -> impl Strategy<Value = QueueOp> {
         2 => Just(QueueOp::Pop),
         2 => (0u64..20_000).prop_map(QueueOp::PopWithin),
         1 => Just(QueueOp::Peek),
+        3 => (0..SLOTS, arm_delay()).prop_map(|(cpu, ns)| QueueOp::Arm(cpu, ns)),
+        1 => (0..SLOTS).prop_map(QueueOp::Disarm),
     ]
 }
 
-/// Naive reference: a vec of live `(time_ns, seq, value)` entries, popped
+/// Slot delays: whole microseconds (ties with `Schedule`), zero
+/// (re-arming at `now`), sub-tick nanoseconds, and `SimTime::MAX`.
+fn arm_delay() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        3 => (0u64..8).prop_map(|us| us * 1_000),
+        1 => Just(0u64),
+        2 => 0u64..1500,
+        1 => Just(u64::MAX),
+    ]
+}
+
+/// What a model entry delivers: a wheel event's value or a CPU slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Item {
+    Event(usize),
+    Slot(usize),
+}
+
+/// The queue's delivery in the model's terms.
+fn delivered(next: PopNext<usize>) -> Option<(u64, Item)> {
+    match next {
+        PopNext::Popped(t, v) => Some((t.as_nanos(), Item::Event(v))),
+        PopNext::Slot(t, cpu) => Some((t.as_nanos(), Item::Slot(cpu))),
+        PopNext::Empty | PopNext::Deferred(_) => None,
+    }
+}
+
+/// Naive reference: a vec of live `(time_ns, seq, item)` entries, popped
 /// by scanning for the minimum `(time, seq)`. Deliberately O(n) and
-/// obvious.
+/// obvious. A completion slot is an ordinary entry keyed by the sequence
+/// number its `arm` reserved.
 #[derive(Default)]
 struct ModelQueue {
-    live: Vec<(u64, usize, usize)>,
+    live: Vec<(u64, usize, Item)>,
 }
 
 impl ModelQueue {
@@ -52,10 +90,14 @@ impl ModelQueue {
         (0..self.live.len()).min_by_key(|&i| (self.live[i].0, self.live[i].1))
     }
 
-    fn pop(&mut self) -> Option<(u64, usize)> {
+    fn pop(&mut self) -> Option<(u64, Item)> {
         let i = self.min_index()?;
         let (t, _, v) = self.live.remove(i);
         Some((t, v))
+    }
+
+    fn remove(&mut self, item: Item) {
+        self.live.retain(|&(_, _, it)| it != item);
     }
 
     fn peek_time(&self) -> Option<u64> {
@@ -151,16 +193,18 @@ proptest! {
     }
 
     /// Model-based equivalence: arbitrary schedule/cancel/pop/
-    /// pop-within/peek interleavings (with frequent same-instant ties,
-    /// sub-tick collisions, and far-future overflow entries) agree
-    /// step-for-step with a naive sorted-vec reference. Also pins exact
-    /// `len` after an eager cancel, cancel-after-pop refusal, and that a
-    /// deferred `pop_within` leaves the queue untouched.
+    /// pop-within/peek/arm/disarm interleavings (with frequent
+    /// same-instant ties between slots and wheel entries, sub-tick
+    /// collisions, far-future overflow entries, and slots armed at `now`
+    /// or at `SimTime::MAX`) agree step-for-step with a naive sorted-vec
+    /// reference. Also pins exact `len` after an eager cancel,
+    /// cancel-after-pop refusal, and that a deferred `pop_within` leaves
+    /// the queue untouched.
     #[test]
     fn queue_matches_model_under_interleaving(
         ops in prop::collection::vec(queue_ops(), 1..300)
     ) {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_slots(SLOTS);
         let mut model = ModelQueue::default();
         // Live tokens, with the value each one carries.
         let mut tokens: Vec<(sa_sim::EventToken, usize)> = Vec::new();
@@ -174,11 +218,24 @@ proptest! {
             };
             if let Some(at) = at {
                 tokens.push((q.schedule(at, next_seq), next_seq));
-                model.live.push((at.as_nanos(), next_seq, next_seq));
+                model.live.push((at.as_nanos(), next_seq, Item::Event(next_seq)));
                 next_seq += 1;
             }
             match op {
                 QueueOp::Schedule(_) | QueueOp::ScheduleNs(_) | QueueOp::ScheduleFar(_) => {}
+                QueueOp::Arm(cpu, ns) => {
+                    let at = q.now() + SimDuration::from_nanos(ns);
+                    q.arm(cpu, at);
+                    model.remove(Item::Slot(cpu));
+                    model.live.push((at.as_nanos(), next_seq, Item::Slot(cpu)));
+                    next_seq += 1;
+                    prop_assert_eq!(q.armed_at(cpu), Some(at));
+                }
+                QueueOp::Disarm(cpu) => {
+                    q.disarm(cpu);
+                    model.remove(Item::Slot(cpu));
+                    prop_assert_eq!(q.armed_at(cpu), None);
+                }
                 QueueOp::Cancel(i) => {
                     if tokens.is_empty() {
                         continue;
@@ -197,14 +254,20 @@ proptest! {
                     prop_assert!(!q.cancel(tok));
                 }
                 QueueOp::Pop => {
-                    let got = q.pop().map(|(t, v)| (t.as_nanos(), v));
+                    let got = delivered(q.pop_within(SimTime::MAX));
                     let want = model.pop();
                     prop_assert_eq!(got, want);
-                    if let Some((_, v)) = want {
-                        let ti = tokens.iter().position(|&(_, s)| s == v);
-                        if let Some(ti) = ti {
-                            // A popped event's token is dead.
-                            prop_assert!(!q.cancel(tokens.swap_remove(ti).0));
+                    if let Some((t, item)) = want {
+                        prop_assert_eq!(q.now().as_nanos(), t);
+                        match item {
+                            Item::Event(v) => {
+                                let ti = tokens.iter().position(|&(_, s)| s == v);
+                                if let Some(ti) = ti {
+                                    // A popped event's token is dead.
+                                    prop_assert!(!q.cancel(tokens.swap_remove(ti).0));
+                                }
+                            }
+                            Item::Slot(cpu) => prop_assert_eq!(q.armed_at(cpu), None),
                         }
                     }
                 }
@@ -220,13 +283,16 @@ proptest! {
                             prop_assert_eq!(q.len(), len);
                             prop_assert_eq!(q.peek_time(), peek);
                         }
-                        PopNext::Popped(t, v) => {
-                            prop_assert!(t <= limit);
-                            prop_assert_eq!(Some((t.as_nanos(), v)), model.pop());
-                            prop_assert_eq!(q.now(), t);
-                            let ti = tokens.iter().position(|&(_, s)| s == v);
-                            if let Some(ti) = ti {
-                                prop_assert!(!q.cancel(tokens.swap_remove(ti).0));
+                        next => {
+                            let (t, item) = delivered(next).expect("a delivery");
+                            prop_assert!(t <= limit.as_nanos());
+                            prop_assert_eq!(Some((t, item)), model.pop());
+                            prop_assert_eq!(q.now().as_nanos(), t);
+                            if let Item::Event(v) = item {
+                                let ti = tokens.iter().position(|&(_, s)| s == v);
+                                if let Some(ti) = ti {
+                                    prop_assert!(!q.cancel(tokens.swap_remove(ti).0));
+                                }
                             }
                         }
                     }
@@ -238,10 +304,10 @@ proptest! {
             prop_assert_eq!(q.len(), model.live.len());
             prop_assert_eq!(q.is_empty(), model.live.is_empty());
         }
-        // Drain: remaining events agree in full (time, value) order.
+        // Drain: remaining events agree in full (time, item) order.
         let mut got = Vec::new();
-        while let Some((t, v)) = q.pop() {
-            got.push((t.as_nanos(), v));
+        while let Some(e) = delivered(q.pop_within(SimTime::MAX)) {
+            got.push(e);
         }
         let mut want = Vec::new();
         while let Some(e) = model.pop() {
