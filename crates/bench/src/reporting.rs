@@ -1,11 +1,4 @@
-//! Text-table and machine-readable reporting helpers shared by the bench
-//! harnesses.
-
-// JSON emission (with escaping) lives in `sa_core::reporting` so the
-// `sa-experiments` binary can use it too without a dependency cycle
-// (`sa-bench` depends on `sa-core`); re-exported here as the bench-side
-// surface.
-pub use sa_core::reporting::{bench_lines_json, json_escape, write_bench_json, BenchLine};
+//! Text-table reporting helpers shared by the bench harnesses.
 
 use std::num::NonZeroUsize;
 
@@ -35,10 +28,5 @@ mod tests {
     #[test]
     fn times_formats() {
         assert_eq!(super::times(2.456), "2.46x");
-    }
-
-    #[test]
-    fn json_reexports_escape() {
-        assert_eq!(super::json_escape(r#"a"b"#), r#"a\"b"#);
     }
 }

@@ -16,20 +16,18 @@
 //! table.
 
 use sa_core::audit::{audit_counter_series, render_audit_csv, render_audit_table, run_audit};
-use sa_core::experiments::EngineThroughput;
 use sa_core::profile::{render_folded, render_json, render_table, run_profile_with};
-use sa_core::reporting::{write_bench_json_with_host, BenchLine, HostInfo, Table};
+use sa_core::reporting::Table;
 use sa_core::scenario::{self, PolicyConfig};
 use sa_core::slo;
-use sa_core::sweeps::{fig1_grid_throughput, latency_rows, upcall_measurements};
+use sa_core::sweeps::{latency_rows, upcall_measurements};
 use sa_core::trace_export::{perfetto_counters_json, perfetto_json, text_log};
 use sa_core::{AppSpec, SystemBuilder, ThreadApi};
 use sa_harness::{host_jobs, parse_jobs, PanickedJob};
 use sa_kernel::{AllocPolicy, AllocPolicyKind, AllocView, DaemonSpec, SpaceDemand, SpaceShareEven};
 use sa_machine::CostModel;
-use sa_sim::{EventQueue, SimDuration, SimTime, Trace, UpcallKind};
+use sa_sim::{SimDuration, SimTime, Trace, UpcallKind};
 use sa_uthread::{CriticalSectionMode, ReadyPolicyKind};
-use sa_workload::nbody::{nbody_parallel, NBodyConfig};
 use std::num::NonZeroUsize;
 use std::time::Instant;
 
@@ -46,8 +44,8 @@ const SUBCOMMANDS: &[(&str, &str)] = &[
         "run <scenario> [--alloc=P] [--ready=P]; 'run --list' lists scenarios",
     ),
     (
-        "engine-bench",
-        "host-side engine throughput (writes BENCH_engine.json)",
+        "overhead",
+        "overhead: policy-dispatch, windowed-ledger and audit host-cost bounds",
     ),
     (
         "churn",
@@ -222,125 +220,24 @@ fn table5(jobs: NonZeroUsize) -> Result<(), PanickedJob> {
     run_scenario("table5", PolicyConfig::default(), jobs)
 }
 
-/// Standing far-out timers kept pending through the whole queue mix. The
-/// kernel's queue always carries a backlog of per-CPU quantum timers,
-/// daemon wakeups, and I/O timeouts that rarely fire; the near-term
-/// churn happens on top of it; a near-empty queue would flatter any
-/// design whose cost grows with the pending population.
-const QUEUE_MIX_STANDING: u64 = 4096;
+/// Hot TCB bytes per live thread the churn smoke tolerates: well above
+/// the ~60 B the paged hot slab costs today, far below any per-thread
+/// boxed layout (a single `Box` per TCB already blows this on page
+/// granularity alone).
+const CHURN_HOT_BYTES_PER_THREAD_LIMIT: f64 = 256.0;
 
-/// Schedules the standing backlog: timers 4 ms apart starting at 20
-/// virtual seconds, far past every timestamp the mix itself pops.
-fn prefill_standing(mut schedule: impl FnMut(SimTime, u64)) {
-    for i in 0..QUEUE_MIX_STANDING {
-        schedule(SimTime::from_nanos(20_000_000_000 + i * 4_000_000), !i);
-    }
-}
-
-/// Push/pop/cancel microloop against the event queue, run over a
-/// standing backlog of `QUEUE_MIX_STANDING` pending timers.
-fn queue_microloop(ops: u64) -> f64 {
-    let mut q = EventQueue::new();
-    prefill_standing(|t, v| {
-        q.schedule(t, v);
-    });
-    let start = Instant::now();
-    let mut sum = 0u64;
-    let mut tokens = Vec::with_capacity(64);
-    for round in 0..ops / 64 {
-        tokens.clear();
-        // Each round's window sits above the previous round's times so the
-        // pops never leave `now` ahead of a later schedule.
-        let base = (round + 1) * 200_000;
-        for i in 0..64u64 {
-            let t = round * 64 + i;
-            tokens.push(q.schedule(SimTime::from_nanos(base + t * 7919 % 100_000), t));
-        }
-        // Cancel a quarter eagerly, pop the rest.
-        for tok in tokens.iter().step_by(4) {
-            q.cancel(*tok);
-        }
-        for _ in 0..48 {
-            if let Some((_, v)) = q.pop() {
-                sum += v;
-            }
-        }
-    }
-    std::hint::black_box(sum);
-    ops as f64 / start.elapsed().as_secs_f64()
-}
-
-/// Runs a deterministic measurement `n` times and keeps the fastest run.
-/// The single-shot system measurements here last ~0.1 host seconds, which
-/// on the one-core reference box swings by tens of percent with
-/// first-touch page faults and frequency ramp; minimum time over a few
-/// repeats is the standard low-noise estimator when every run performs
-/// identical work.
-fn best_of(n: usize, mut run: impl FnMut() -> EngineThroughput) -> EngineThroughput {
-    let mut best = run();
-    for _ in 1..n {
-        let r = run();
-        if r.host_seconds < best.host_seconds {
-            best = r;
-        }
-    }
-    best
-}
-
-/// Same-tick dispatch at system scale: two multiprogrammed N-body
-/// applications on the six-processor machine, which keeps several CPUs
-/// finishing segments at identical timestamps. Returns host throughput.
-fn batch_dispatch_throughput() -> EngineThroughput {
-    let cost = CostModel::firefly_prototype();
-    let cfg = NBodyConfig {
-        bodies: NBodyConfig::default().bodies / 2,
-        ..NBodyConfig::default()
-    };
-    let mut builder = SystemBuilder::new(6)
-        .cost(cost)
-        .seed(1)
-        .daemons(DaemonSpec::topaz_default_set())
-        .run_limit(SimTime::from_millis(3_600_000));
-    for copy in 0..2 {
-        let (body, _handle) = nbody_parallel(cfg.clone());
-        builder = builder.app(AppSpec::new(
-            format!("nbody-batch{copy}"),
-            ThreadApi::SchedulerActivations { max_processors: 6 },
-            body,
-        ));
-    }
-    let mut sys = builder.build();
-    let start = Instant::now();
-    let report = sys.run();
-    let host_seconds = start.elapsed().as_secs_f64();
-    assert!(
-        report.all_done(),
-        "batch dispatch bench: {:?}",
-        report.outcome
-    );
-    EngineThroughput {
-        sim_events: sys.kernel().kernel_metrics().events.get(),
-        host_seconds,
-    }
-}
-
-/// Result of a thread-churn run: lifecycle throughput plus the resident
-/// slab footprint read back from the runtime after completion.
-struct ChurnResult {
-    host_seconds: f64,
-    sim_events: u64,
-    slab: sa_kernel::upcall::TcbSlabStats,
-}
-
-/// Churns `total` short-lived user threads through one scheduler-
-/// activation application with at most `window` alive at once (see
-/// `sa_workload::synthetic::thread_churn`): every thread is forked,
-/// dispatched, requeued once (yield), exited, and its TCB recycled.
-/// Peak slab residency is bounded by the window, so `total` can be 10⁶
-/// while memory stays flat — the property the `bytes_per_thread` line
-/// gates.
-fn thread_churn_run(total: usize, window: usize) -> ChurnResult {
-    let body = sa_workload::synthetic::thread_churn(total, window, SimDuration::from_micros(2));
+/// The `churn` subcommand: churn 10⁶ short-lived user threads through
+/// one scheduler-activation application with at most 8192 alive at once
+/// (see `sa_workload::synthetic::thread_churn`; every thread is forked,
+/// dispatched, requeued once, exited, and its TCB recycled) and enforce
+/// the memory-layout bound. Peak slab residency is bounded by the
+/// window, so memory stays flat. CI wraps this in `timeout` for the time
+/// bound; the RSS line lets it bound peak memory without an external
+/// `time -v`.
+fn churn_cmd() -> Result<(), PanickedJob> {
+    const TOTAL: usize = 1_000_000;
+    const WINDOW: usize = 8_192;
+    let body = sa_workload::synthetic::thread_churn(TOTAL, WINDOW, SimDuration::from_micros(2));
     let mut sys = SystemBuilder::new(4)
         .cost(CostModel::firefly_prototype())
         .seed(7)
@@ -359,44 +256,25 @@ fn thread_churn_run(total: usize, window: usize) -> ChurnResult {
     let slab = sys
         .tcb_slab_stats(app)
         .expect("FastThreads app reports slab stats");
-    ChurnResult {
-        host_seconds,
-        sim_events: sys.kernel().kernel_metrics().events.get(),
-        slab,
-    }
-}
-
-/// Hot TCB bytes per live thread the churn smoke tolerates: well above
-/// the ~60 B the paged hot slab costs today, far below any per-thread
-/// boxed layout (a single `Box` per TCB already blows this on page
-/// granularity alone). The `thread_churn_1m` acceptance bound.
-const CHURN_HOT_BYTES_PER_THREAD_LIMIT: f64 = 256.0;
-
-/// The `churn` subcommand: run the 10⁶-thread lifecycle stress and
-/// enforce the memory-layout acceptance bound. CI wraps this in
-/// `timeout` for the time bound; the RSS line lets it bound peak memory
-/// without an external `time -v`.
-fn churn_cmd() -> Result<(), PanickedJob> {
-    const TOTAL: usize = 1_000_000;
-    const WINDOW: usize = 8_192;
-    let r = thread_churn_run(TOTAL, WINDOW);
-    let per_thread = r.slab.hot_bytes as f64 / r.slab.rows as f64;
+    let per_thread = slab.hot_bytes as f64 / slab.rows as f64;
     println!(
-        "thread churn: {TOTAL} threads (window {WINDOW}) in {:.3}s ({:.0} threads/s; {} events)",
-        r.host_seconds,
-        TOTAL as f64 / r.host_seconds,
-        r.sim_events
+        "thread churn: {TOTAL} threads (window {WINDOW}) in {host_seconds:.3}s \
+         ({:.0} threads/s; {} events)",
+        TOTAL as f64 / host_seconds,
+        sys.kernel().kernel_metrics().events.get()
     );
     println!(
         "slab: peak rows {}; hot {} B ({per_thread:.0} B/thread); total {} B",
-        r.slab.rows, r.slab.hot_bytes, r.slab.total_bytes
+        slab.rows, slab.hot_bytes, slab.total_bytes
     );
     if let Some(kb) = peak_rss_kb() {
         println!("peak rss: {kb} kB");
     }
     if per_thread > CHURN_HOT_BYTES_PER_THREAD_LIMIT {
         eprintln!(
-            "churn: hot TCB footprint {per_thread:.0} B/thread exceeds the              {CHURN_HOT_BYTES_PER_THREAD_LIMIT:.0} B bound — per-thread state              has regressed toward boxed layouts"
+            "churn: hot TCB footprint {per_thread:.0} B/thread exceeds the \
+             {CHURN_HOT_BYTES_PER_THREAD_LIMIT:.0} B bound; per-thread state has \
+             regressed toward boxed layouts"
         );
         std::process::exit(1);
     }
@@ -415,8 +293,8 @@ fn peak_rss_kb() -> Option<u64> {
 /// `iters` times. `boxed` routes each call through `Box<dyn AllocPolicy>`
 /// exactly as the kernel's rebalance does; otherwise the concrete
 /// `SpaceShareEven` is called directly, which the compiler can inline.
-/// The delta between the two is the trait-object dispatch overhead the
-/// `policy_dispatch` bench line tracks.
+/// Returns host seconds; the ratio of the two shapes is the trait-object
+/// dispatch overhead the `policy_dispatch` bound checks.
 fn alloc_policy_microloop(iters: u64, boxed: bool) -> f64 {
     let spaces: Vec<SpaceDemand> = (0..8)
         .map(|i| SpaceDemand {
@@ -445,307 +323,110 @@ fn alloc_policy_microloop(iters: u64, boxed: bool) -> f64 {
         acc += u64::from(targets.iter().sum::<u32>());
     }
     std::hint::black_box(acc);
-    iters as f64 / start.elapsed().as_secs_f64()
+    start.elapsed().as_secs_f64()
 }
 
-/// Engine throughput harness: a Figure 1-sized N-body system run plus
-/// queue/dispatch microloops and the host-parallel grid sweep, reported
-/// in host events (or ops) per second and written to `BENCH_engine.json`
-/// for tracking across commits.
-fn engine_bench(jobs: NonZeroUsize) -> Result<(), PanickedJob> {
-    let cost = CostModel::firefly_prototype();
-    let cfg = NBodyConfig::default();
-    println!("Engine throughput (host-side; virtual-time results unaffected)");
+/// Interleaved pairs behind each overhead reading. Odd, so the median
+/// is one pair's ratio.
+const OVERHEAD_PAIRS: usize = 11;
 
-    let mut lines: Vec<BenchLine> = Vec::new();
+/// Median, over [`OVERHEAD_PAIRS`] interleaved pairs, of `num`'s host
+/// seconds over `den`'s within the pair. The side that runs first
+/// alternates per pair, so drift in host speed during a pair (frequency
+/// ramp, a co-tenant arriving) favours neither side, and the median
+/// discards the pairs a burst of noise lands in.
+fn paired_ratio(mut num: impl FnMut() -> f64, mut den: impl FnMut() -> f64) -> f64 {
+    let mut ratios: Vec<f64> = (0..OVERHEAD_PAIRS)
+        .map(|i| {
+            let (n, d) = if i % 2 == 0 {
+                let n = num();
+                (n, den())
+            } else {
+                let d = den();
+                (num(), d)
+            };
+            n / d
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[OVERHEAD_PAIRS / 2]
+}
 
-    // Whole-system run: the paper's Figure 1 workload at 6 processors
-    // under scheduler activations — the end-to-end number. These
-    // measurements stay serial on an otherwise-idle host (best of three
-    // repeats, see `best_of`) so the numbers track engine changes, not
-    // co-scheduled sweep noise or warm-up artifacts.
-    let r = best_of(3, || {
-        sa_core::experiments::engine_throughput(
-            ThreadApi::SchedulerActivations { max_processors: 6 },
-            6,
-            cfg.clone(),
-            cost.clone(),
-            1,
-        )
-    });
-    lines.push(BenchLine::new(
-        "system_nbody_fig1_sa",
-        r.events_per_sec(),
-        format!("{} events in {:.3}s", r.sim_events, r.host_seconds),
-    ));
-
-    // Dispatch-heavy run: one processor, forcing the upcall/ready-queue
-    // machinery through many more scheduling decisions per unit work.
-    let r1 = best_of(3, || {
-        sa_core::experiments::engine_throughput(
-            ThreadApi::SchedulerActivations { max_processors: 1 },
-            1,
-            NBodyConfig {
-                bodies: cfg.bodies / 2,
-                ..cfg.clone()
-            },
-            cost.clone(),
-            1,
-        )
-    });
-    lines.push(BenchLine::new(
-        "system_nbody_dispatch_1cpu",
-        r1.events_per_sec(),
-        format!("{} events in {:.3}s", r1.sim_events, r1.host_seconds),
-    ));
-
-    // Tracing overhead: the same dispatch-heavy run with the disabled
-    // tracer (the default everywhere) vs an unbounded recording one. The
-    // disabled number is the regression guard — `Tracer::event` takes a
-    // closure precisely so a disabled sink never formats anything.
-    let small = NBodyConfig {
-        bodies: cfg.bodies / 2,
-        ..cfg.clone()
-    };
-    let td = best_of(3, || {
-        sa_core::experiments::engine_throughput_traced(
-            ThreadApi::SchedulerActivations { max_processors: 6 },
-            6,
-            small.clone(),
-            cost.clone(),
-            1,
-            Trace::disabled(),
-        )
-    });
-    let tu = best_of(3, || {
-        sa_core::experiments::engine_throughput_traced(
-            ThreadApi::SchedulerActivations { max_processors: 6 },
-            6,
-            small.clone(),
-            cost.clone(),
-            1,
-            Trace::unbounded(),
-        )
-    });
-    lines.push(BenchLine::new(
-        "tracing_overhead",
-        td.events_per_sec(),
-        format!(
-            "disabled {:.0}/s vs unbounded {:.0}/s ({:.2}x slower recording)",
-            td.events_per_sec(),
-            tu.events_per_sec(),
-            td.events_per_sec() / tu.events_per_sec()
-        ),
-    ));
-
-    // Queue microloop on a cancel-heavy push/cancel/pop mix (best of
-    // three repeats).
-    const QOPS: u64 = 2_000_000;
-    let wheel = (0..3).map(|_| queue_microloop(QOPS)).fold(0f64, f64::max);
-    lines.push(BenchLine::new(
-        "queue_mix_wheel",
-        wheel,
-        format!("{QOPS} scheduled"),
-    ));
-
-    // Same-tick dispatch at system scale (multiprogrammed 6-CPU run).
-    let batch = best_of(3, batch_dispatch_throughput);
-    lines.push(BenchLine::new(
-        "system_batch_dispatch",
-        batch.events_per_sec(),
-        "2-app 6-cpu run".to_string(),
-    ));
-
-    // Allocation-policy dispatch: the same §4.1 division through the
-    // policy trait object (the kernel's own call shape) vs the inlined
-    // concrete call (what devirtualizing it would buy). Repeats
-    // are interleaved across the two shapes and the best kept per shape —
-    // the earlier back-to-back measurement let host-frequency drift
-    // between the two loops invert the ratio on slow containers. The
-    // inlined/dyn ratio in the detail line is asserted ≥ 1 in CI: the
-    // inlined shape can tie the trait object but must never lose to it.
-    const POPS: u64 = 400_000;
-    let (mut dispatched, mut inlined) = (0f64, 0f64);
-    for _ in 0..3 {
-        dispatched = dispatched.max(alloc_policy_microloop(POPS, true));
-        inlined = inlined.max(alloc_policy_microloop(POPS, false));
-    }
-    lines.push(BenchLine::new(
-        "policy_dispatch",
-        dispatched,
-        format!(
-            "{POPS} divisions; inlined {inlined:.0}/s ({:.2}x of dyn; interleaved best-of-3)",
-            inlined / dispatched
-        ),
-    ));
-
-    // Thread-lifecycle churn: 10⁶ short-lived threads through one
-    // scheduler-activation app with an 8192-thread live window. The
-    // throughput line tracks the full TCB lifecycle (fork, dispatch,
-    // yield requeue, exit, recycle); the `bytes_per_thread` line is the
-    // resident hot-slab footprint per peak-live thread — flat paged-slab
-    // storage, not proportional to the million threads spawned. Names
-    // starting with `bytes_` are lower-is-better in `sa-bench-check`.
-    const CHURN_TOTAL: usize = 1_000_000;
-    const CHURN_WINDOW: usize = 8_192;
-    let churn = thread_churn_run(CHURN_TOTAL, CHURN_WINDOW);
-    lines.push(BenchLine::new(
-        "thread_churn_1m",
-        CHURN_TOTAL as f64 / churn.host_seconds,
-        format!(
-            "{CHURN_TOTAL} threads (window {CHURN_WINDOW}) in {:.3}s; {} events; peak rows {}",
-            churn.host_seconds, churn.sim_events, churn.slab.rows
-        ),
-    ));
-    lines.push(BenchLine::new(
-        "bytes_per_thread",
-        churn.slab.hot_bytes as f64 / churn.slab.rows as f64,
-        format!(
-            "hot slab {} B / {} peak-live rows (total slab {} B); lower is better",
-            churn.slab.hot_bytes, churn.slab.rows, churn.slab.total_bytes
-        ),
-    ));
-
-    // Open-loop SLO server: the `slo` subcommand's scheduler-activation
-    // cell at a reduced request count — request throughput of the
-    // sharded open-loop machinery with the production windowed ledger
-    // enabled. The companion line measures the windowed ledger itself:
-    // the identical run with metrics off, interleaved best-of-3 against
-    // the metrics-on run so host drift cannot skew the pairing. Its
-    // detail carries the on/off host-time overhead ratio, asserted
-    // <= 1.10 in CI: per-window accounting must stay under 10% of the
-    // whole run's cost.
+/// The `overhead` subcommand: three host-cost bounds that a same-run
+/// comparison can check without a baseline from another commit.
+///
+/// - `policy_dispatch`: the §4.1 division inlined vs through the
+///   kernel's `Box<dyn AllocPolicy>` (400 k divisions a side). The
+///   inlined shape may tie the trait object but must not lose to it by
+///   more than 10%: throughput ratio inlined/dyn ≥ 0.9.
+/// - `slo_windowed`: the 20 k-request SLO cell with the windowed ledger
+///   on vs off; host-time ratio ≤ 1.10.
+/// - `audit`: the same cell with decision provenance (decision log plus
+///   dwell ledger) on vs off, windowed ledger off in both; ≤ 1.10.
+///
+/// Exits 1 naming every bound a reading misses.
+fn overhead_cmd() -> Result<(), PanickedJob> {
+    const DIVISIONS: u64 = 400_000;
     const SLO_REQUESTS: usize = 20_000;
-    let slo_profile = slo::profiles()
+    let profile = slo::profiles()
         .into_iter()
         .next()
         .expect("slo profiles exist");
-    let mut slo_on: Option<slo::SloBenchRun> = None;
-    let mut slo_off: Option<slo::SloBenchRun> = None;
-    for _ in 0..3 {
-        let on = slo::bench_run(&slo_profile, SLO_REQUESTS, true);
-        if slo_on
-            .as_ref()
-            .is_none_or(|b| on.host_seconds < b.host_seconds)
-        {
-            slo_on = Some(on);
-        }
-        let off = slo::bench_run(&slo_profile, SLO_REQUESTS, false);
-        if slo_off
-            .as_ref()
-            .is_none_or(|b| off.host_seconds < b.host_seconds)
-        {
-            slo_off = Some(off);
-        }
-    }
-    let (slo_on, slo_off) = (
-        slo_on.expect("three rounds ran"),
-        slo_off.expect("three rounds ran"),
+    let slo_secs = |windowed, audit| slo::bench_run_with(&profile, SLO_REQUESTS, windowed, audit);
+    // (name, what the ratio compares, reading, bound, whether the bound
+    // is a floor).
+    let readings = [
+        (
+            "policy_dispatch",
+            "inlined/dyn",
+            paired_ratio(
+                || alloc_policy_microloop(DIVISIONS, true),
+                || alloc_policy_microloop(DIVISIONS, false),
+            ),
+            0.9,
+            true,
+        ),
+        (
+            "slo_windowed",
+            "on/off",
+            paired_ratio(|| slo_secs(true, false), || slo_secs(false, false)),
+            1.10,
+            false,
+        ),
+        (
+            "audit",
+            "on/off",
+            paired_ratio(|| slo_secs(false, true), || slo_secs(false, false)),
+            1.10,
+            false,
+        ),
+    ];
+    println!(
+        "Overhead bounds: median of {OVERHEAD_PAIRS} interleaved pairs \
+         ({DIVISIONS} divisions; {} at {SLO_REQUESTS} requests)",
+        profile.name
     );
-    let (on_rps, off_rps) = (
-        slo_on.requests as f64 / slo_on.host_seconds,
-        slo_off.requests as f64 / slo_off.host_seconds,
-    );
-    lines.push(BenchLine::new(
-        "server_slo_throughput",
-        on_rps,
-        format!(
-            "{} requests ({}) in {:.3}s; {} events; windowed ledger on",
-            slo_on.requests, slo_profile.name, slo_on.host_seconds, slo_on.sim_events
-        ),
-    ));
-    lines.push(BenchLine::new(
-        "slo_windowed_overhead",
-        off_rps,
-        format!(
-            "metrics-off {off_rps:.0} req/s vs on {on_rps:.0} req/s \
-             (overhead ratio {:.3}x; interleaved best-of-3)",
-            slo_on.host_seconds / slo_off.host_seconds
-        ),
-    ));
-
-    // Decision-provenance overhead: the same cell with the allocator's
-    // decision log + dwell ledger on vs off (both without the windowed
-    // ledger, so the pairing isolates provenance record-keeping).
-    // Decision ids advance in both shapes — only record-keeping differs —
-    // and CI asserts the detail's overhead ratio stays <= 1.10.
-    let mut audit_on: Option<slo::SloBenchRun> = None;
-    let mut audit_off: Option<slo::SloBenchRun> = None;
-    for _ in 0..3 {
-        let on = slo::bench_run_with(&slo_profile, SLO_REQUESTS, false, true);
-        if audit_on
-            .as_ref()
-            .is_none_or(|b| on.host_seconds < b.host_seconds)
-        {
-            audit_on = Some(on);
-        }
-        let off = slo::bench_run_with(&slo_profile, SLO_REQUESTS, false, false);
-        if audit_off
-            .as_ref()
-            .is_none_or(|b| off.host_seconds < b.host_seconds)
-        {
-            audit_off = Some(off);
-        }
-    }
-    let (audit_on, audit_off) = (
-        audit_on.expect("three rounds ran"),
-        audit_off.expect("three rounds ran"),
-    );
-    let audit_off_rps = audit_off.requests as f64 / audit_off.host_seconds;
-    lines.push(BenchLine::new(
-        "audit_overhead",
-        audit_off_rps,
-        format!(
-            "audit-off {audit_off_rps:.0} req/s vs on {:.0} req/s \
-             (overhead ratio {:.3}x; interleaved best-of-3)",
-            audit_on.requests as f64 / audit_on.host_seconds,
-            audit_on.host_seconds / audit_off.host_seconds
-        ),
-    ));
-
-    // Host-parallel sweep: the whole Figure 1 grid (18 independent cells)
-    // at one worker vs. `jobs` workers — the scaling number this harness
-    // tracks over time. Virtual-time results are identical at any job
-    // count; only host wall-clock changes.
-    let serial = fig1_grid_throughput(&cfg, &cost, 1, NonZeroUsize::MIN)?;
-    let parallel = fig1_grid_throughput(&cfg, &cost, 1, jobs)?;
-    lines.push(BenchLine::new(
-        "sweep_fig1_grid",
-        parallel.events_per_sec(),
-        format!(
-            "{} cells; jobs=1 {:.3}s; jobs={} {:.3}s; speedup {:.2}x",
-            parallel.cells,
-            serial.host_seconds,
-            parallel.jobs,
-            parallel.host_seconds,
-            serial.host_seconds / parallel.host_seconds
-        ),
-    ));
-
-    for l in &lines {
+    let mut missed = Vec::new();
+    for (name, shape, ratio, bound, floor) in readings {
+        let (op, ok) = if floor {
+            (">=", ratio >= bound)
+        } else {
+            ("<=", ratio <= bound)
+        };
         println!(
-            "  {:<28} {:>14.0} /sec   ({})",
-            l.name, l.ops_per_sec, l.detail
+            "  {name:<16} {shape:<12} {ratio:.3}  (bound {op} {bound:.2})  {}",
+            if ok { "ok" } else { "MISSED" }
         );
+        if !ok {
+            missed.push(format!("{name} {shape} {ratio:.3} (bound {op} {bound:.2})"));
+        }
     }
-
-    // Record host context so absolute numbers and the sweep's speedup
-    // line are interpretable across machines: on the 1-core reference
-    // container, "speedup 0.94x" is the expected ceiling, not a
-    // regression.
-    let host = HostInfo::detect(
-        "containerized reference box; sweep speedup is bounded by available cores",
-    );
-    println!("  host cores: {} ({})", host.cores, host.note);
-
-    let path = "BENCH_engine.json";
-    match write_bench_json_with_host(path, &lines, &host) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
+    if !missed.is_empty() {
+        eprintln!("overhead: bound missed: {}", missed.join("; "));
+        std::process::exit(1);
     }
     Ok(())
 }
-
 /// Runs a traced scenario and exports the result.
 ///
 /// Any registry scenario is traceable: the system runs the scenario's
@@ -1013,13 +694,15 @@ fn usage() -> String {
          \n\
          --jobs N     run sweep cells on N host threads (default: host cores,\n\
          \u{20}             or the SA_JOBS environment variable); --jobs 1 is fully serial\n\
-         --alloc P    kernel processor-allocation policy (even|affinity|strict-priority)\n\
-         --ready P    user-level ready-queue discipline (local|global-fifo|global-lifo)\n\
+         --alloc P    kernel processor-allocation policy ({})\n\
+         --ready P    user-level ready-queue discipline ({})\n\
          --requests N override the SLO profile's request count (quick runs)\n\
          --spaces N   fan the SLO generator across N address spaces (aggregate\n\
          \u{20}             arrival rate preserved; exercises the processor allocator)\n\
          --list       list subcommands (or, after 'run'/'slo', scenarios) and exit",
-        names.join("|")
+        names.join("|"),
+        AllocPolicyKind::ALL.map(|k| k.name()).join("|"),
+        ReadyPolicyKind::ALL.map(|k| k.name()).join("|"),
     )
 }
 
@@ -1213,7 +896,7 @@ fn run(opts: &Options) -> Result<(), PanickedJob> {
         "fig1" => fig1(jobs),
         "fig2" => fig2(jobs),
         "table5" => table5(jobs),
-        "engine-bench" => engine_bench(jobs),
+        "overhead" => overhead_cmd(),
         "churn" => churn_cmd(),
         "run" => run_scenario(
             opts.arg.as_deref().expect("checked during parsing"),

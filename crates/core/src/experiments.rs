@@ -9,7 +9,7 @@ use crate::scenario::PolicyConfig;
 use crate::{AppSpec, SystemBuilder, ThreadApi};
 use sa_kernel::DaemonSpec;
 use sa_machine::CostModel;
-use sa_sim::{SimDuration, SimTime, Trace};
+use sa_sim::{SimDuration, SimTime};
 use sa_uthread::CriticalSectionMode;
 use sa_workload::micro::{null_fork, signal_wait, SigWaitPath};
 use sa_workload::nbody::{nbody_parallel, nbody_sequential, NBodyConfig};
@@ -185,71 +185,6 @@ pub fn nbody_sequential_time(nbody: NBodyConfig, cost: CostModel, seed: u64) -> 
     let report = sys.run();
     assert!(report.all_done(), "sequential nbody: {:?}", report.outcome);
     report.elapsed(0)
-}
-
-/// Host-side engine throughput of one simulated run: how many simulator
-/// events the engine dispatched per second of *host* time. This is the
-/// engine's own figure of merit (the paper's results are all in virtual
-/// time and unaffected by it).
-#[derive(Debug, Clone, Copy)]
-pub struct EngineThroughput {
-    /// Kernel events dispatched during the run.
-    pub sim_events: u64,
-    /// Host wall-clock seconds the run took.
-    pub host_seconds: f64,
-}
-
-impl EngineThroughput {
-    /// Events dispatched per host second.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.host_seconds > 0.0 {
-            self.sim_events as f64 / self.host_seconds
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Times a Figure 1-sized N-body run on the host and reports engine
-/// throughput (the `engine-bench` building block).
-pub fn engine_throughput(
-    api: ThreadApi,
-    cpus: u16,
-    nbody: NBodyConfig,
-    cost: CostModel,
-    seed: u64,
-) -> EngineThroughput {
-    engine_throughput_traced(api, cpus, nbody, cost, seed, Trace::disabled())
-}
-
-/// As [`engine_throughput`], with an explicit trace sink installed — the
-/// `tracing_overhead` benchmark compares a disabled sink (the default)
-/// against an unbounded recording one on the same workload.
-pub fn engine_throughput_traced(
-    api: ThreadApi,
-    cpus: u16,
-    nbody: NBodyConfig,
-    cost: CostModel,
-    seed: u64,
-    trace: Trace,
-) -> EngineThroughput {
-    let (body, _handle) = nbody_parallel(nbody);
-    let mut sys = SystemBuilder::new(cpus)
-        .cost(cost)
-        .seed(seed)
-        .daemons(DaemonSpec::topaz_default_set())
-        .run_limit(SimTime::from_millis(3_600_000))
-        .trace(trace)
-        .app(AppSpec::new("nbody-bench", api, body))
-        .build();
-    let start = std::time::Instant::now();
-    let report = sys.run();
-    let host_seconds = start.elapsed().as_secs_f64();
-    assert!(report.all_done(), "engine bench run: {:?}", report.outcome);
-    EngineThroughput {
-        sim_events: sys.kernel().kernel_metrics().events.get(),
-        host_seconds,
-    }
 }
 
 #[cfg(test)]

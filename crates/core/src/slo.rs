@@ -465,34 +465,14 @@ pub fn run_slo(
     })
 }
 
-/// Result of one host-side SLO bench run (see [`bench_run`]).
-pub struct SloBenchRun {
-    /// Completed requests.
-    pub requests: u64,
-    /// Simulated events processed.
-    pub sim_events: u64,
-    /// Host wall-clock seconds.
-    pub host_seconds: f64,
-}
-
 /// Host-side benchmark harness: runs the scheduler-activation cell of
-/// `profile` with the request count overridden and the windowed ledger
-/// on or off. The virtual-time results are identical either way — only
-/// host cost differs, which is exactly what the `slo_windowed_overhead`
-/// bench line tracks.
-pub fn bench_run(profile: &SloProfile, requests: usize, windowed: bool) -> SloBenchRun {
-    bench_run_with(profile, requests, windowed, false)
-}
-
-/// As [`bench_run`], with decision-provenance recording on or off as
-/// well — the pairing behind the `audit_overhead` bench line (decision
-/// *ids* advance in both shapes; only record-keeping differs).
-pub fn bench_run_with(
-    profile: &SloProfile,
-    requests: usize,
-    windowed: bool,
-    audit: bool,
-) -> SloBenchRun {
+/// `profile` with the request count overridden, the windowed ledger on
+/// or off, and decision-provenance recording on or off. The virtual-time
+/// results are identical in every shape (decision *ids* advance either
+/// way; only record-keeping differs), so only host cost differs — what
+/// the windowed and audit bounds of `sa-experiments overhead` check.
+/// Returns the host wall-clock seconds of the run.
+pub fn bench_run_with(profile: &SloProfile, requests: usize, windowed: bool, audit: bool) -> f64 {
     let mut cfg = profile.cfg.clone();
     cfg.requests = requests;
     let api = ThreadApi::SchedulerActivations {
@@ -514,11 +494,7 @@ pub fn bench_run_with(
     let report = sys.run();
     let host_seconds = start.elapsed().as_secs_f64();
     assert!(report.all_done(), "slo bench: {:?}", report.outcome);
-    SloBenchRun {
-        requests: cfg.requests as u64,
-        sim_events: sys.kernel().kernel_metrics().events.get(),
-        host_seconds,
-    }
+    host_seconds
 }
 
 fn header(report: &SloReport) -> String {

@@ -16,8 +16,8 @@
 //! `crates/core/tests/parallel_sweeps.rs`).
 
 use crate::experiments::{
-    engine_throughput, nbody_run_with, nbody_sequential_time, thread_op_latencies,
-    topaz_signal_wait, upcall_signal_wait, NBodyRun, ThreadOpLatencies,
+    nbody_run_with, nbody_sequential_time, thread_op_latencies, topaz_signal_wait,
+    upcall_signal_wait, NBodyRun, ThreadOpLatencies,
 };
 use crate::scenario::{systems, PolicyConfig};
 use crate::ThreadApi;
@@ -28,7 +28,6 @@ use sa_uthread::CriticalSectionMode;
 use sa_workload::nbody::NBodyConfig;
 use std::num::NonZeroUsize;
 use std::ops::RangeInclusive;
-use std::time::Instant;
 
 /// The Figure 1 grid: speedup of N-body vs. processors for the three
 /// systems, plus the sequential baseline every speedup divides by.
@@ -270,61 +269,5 @@ pub fn upcall_measurements(jobs: NonZeroUsize) -> Result<UpcallMeasurements, Pan
         proto: r[0],
         topaz: r[1],
         tuned: r[2],
-    })
-}
-
-/// Aggregate host-side throughput of one whole-grid sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepThroughput {
-    /// Worker threads the sweep ran with.
-    pub jobs: usize,
-    /// Grid cells (independent simulations) executed.
-    pub cells: usize,
-    /// Total simulator events dispatched across all cells.
-    pub sim_events: u64,
-    /// Host wall-clock seconds for the whole sweep.
-    pub host_seconds: f64,
-}
-
-impl SweepThroughput {
-    /// Aggregate events dispatched per host second.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.host_seconds > 0.0 {
-            self.sim_events as f64 / self.host_seconds
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Times the Figure 1 grid (six-processor machine, processor counts 1–6,
-/// three systems — 18 cells) on the host at the given job count,
-/// reporting aggregate events/s and wall-clock. Virtual-time results are
-/// unaffected by the job count; only the host wall-clock changes.
-pub fn fig1_grid_throughput(
-    base: &NBodyConfig,
-    cost: &CostModel,
-    seed: u64,
-    jobs: NonZeroUsize,
-) -> Result<SweepThroughput, PanickedJob> {
-    let mut tasks: Vec<Job<'_, u64>> = Vec::new();
-    for cpus in 1..=6u16 {
-        for (name, api) in systems(cpus as u32) {
-            let machine_for = if name == "Topaz threads" { cpus } else { 6 };
-            let (cfg, cost) = (base.clone(), cost.clone());
-            tasks.push(Box::new(move || {
-                engine_throughput(api, machine_for, cfg, cost, seed).sim_events
-            }));
-        }
-    }
-    let cells = tasks.len();
-    let start = Instant::now();
-    let events = run_ordered(jobs, tasks)?;
-    let host_seconds = start.elapsed().as_secs_f64();
-    Ok(SweepThroughput {
-        jobs: jobs.get(),
-        cells,
-        sim_events: events.iter().sum(),
-        host_seconds,
     })
 }

@@ -1,34 +1,115 @@
-//! The bench regression gate end-to-end: `sa-bench-check` must pass an
-//! unchanged rerun, fail an injected regression, and fail a vanished
-//! benchmark — with the right exit codes for CI.
+//! The benchmark gate end to end: `sa-bench-check` drives two perfbench
+//! command lines, here stand-in scripts that print canned perfbench
+//! output, and must pass identical sides, fail each kind of regression
+//! with exit 1 naming it, and exit 2 on output it cannot parse.
+#![cfg(unix)]
 
+use std::os::unix::fs::PermissionsExt;
 use std::path::PathBuf;
 use std::process::Command;
 
-fn bench_json(queue_ops: f64) -> String {
+const WORKLOADS: [&str; 3] = ["paper", "slo_bursty", "thread_churn"];
+
+/// End-to-end metrics as perfbench prints them, at neutral values.
+const METRICS: [(&str, f64); 9] = [
+    ("wall_s", 1.0),
+    ("cpu_s", 1.0),
+    ("sim_events_per_s", 4.0e6),
+    ("setup_s", 0.01),
+    ("peak_rss_mb", 50.0),
+    ("paper_err_pct", 0.0),
+    ("sim_p50_ms", 2.0),
+    ("sim_p9999_ms", 9.0),
+    ("bytes_per_thread", 60.0),
+];
+
+/// One side's canned output for a workload.
+struct Canned {
+    digest: &'static str,
+    failed: u64,
+    /// A metric scaled by a factor.
+    scale: Option<(&'static str, f64)>,
+    truncate: bool,
+}
+
+const NEUTRAL: Canned = Canned {
+    digest: "0123456789abcdef",
+    failed: 0,
+    scale: None,
+    truncate: false,
+};
+
+fn perfbench_output(c: &Canned) -> String {
+    let metrics: Vec<String> = METRICS
+        .iter()
+        .map(|&(name, v)| {
+            let v = match c.scale {
+                Some((scaled, by)) if scaled == name => v * by,
+                _ => v,
+            };
+            format!("\"{name}\": {{\"value\": {v}, \"unit\": \"s\"}}")
+        })
+        .collect();
+    let json = format!(
+        "{{\"correct\": {}, \"attempted\": 40, \"failed\": {}, \"metrics\": {{{}}}}}",
+        c.failed == 0,
+        c.failed,
+        metrics.join(", ")
+    );
+    let json = if c.truncate {
+        json[..json.len() - 20].to_string()
+    } else {
+        json
+    };
     format!(
-        r#"{{
-  "benchmarks": [
-    {{"name": "system_nbody_fig1_sa", "ops_per_sec": 2500000.0, "detail": "events"}},
-    {{"name": "queue_mix_indexed", "ops_per_sec": {queue_ops}, "detail": "2000000 scheduled"}}
-  ]
-}}
-"#
+        "# perfbench workload=w seed=1 seconds=1 trace=0 slowdown_ns=0\n\
+         # pass 0: setup 0.001s wall 1.0s cpu 1.0s events 10\n\
+         # digest={} checks=40 failed={} fail_rate=0\n{json}\n",
+        c.digest, c.failed
     )
 }
 
-fn write_fixture(name: &str, content: &str) -> PathBuf {
-    let mut path = std::env::temp_dir();
-    path.push(format!("sa-bench-gate-{}-{name}", std::process::id()));
-    std::fs::write(&path, content).expect("write fixture");
-    path
+/// A scratch directory removed on drop.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(name: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("sa-bench-gate-{}-{name}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        Scratch(dir)
+    }
+
+    /// An executable script printing `outputs(workload)` for the
+    /// workload named after `--workload`.
+    fn side(&self, name: &str, outputs: impl Fn(&str) -> Canned) -> String {
+        let dir = self.0.join(name);
+        std::fs::create_dir_all(&dir).expect("create side dir");
+        for w in WORKLOADS {
+            std::fs::write(dir.join(format!("{w}.out")), perfbench_output(&outputs(w)))
+                .expect("write canned output");
+        }
+        let script = dir.join("perfbench");
+        std::fs::write(
+            &script,
+            format!("#!/bin/sh\ncat \"{}/$2.out\"\n", dir.display()),
+        )
+        .expect("write script");
+        std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755))
+            .expect("make script executable");
+        script.display().to_string()
+    }
 }
 
-fn run_check(baseline: &PathBuf, current: &PathBuf, extra: &[&str]) -> (i32, String) {
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn gate(parent: &str, change: &str) -> (i32, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_sa-bench-check"))
-        .arg(baseline)
-        .arg(current)
-        .args(extra)
+        .args(["--parent", parent, "--change", change])
+        .args(["--pairs", "3", "--seconds", "1"])
         .output()
         .expect("run sa-bench-check");
     let text = format!(
@@ -39,71 +120,104 @@ fn run_check(baseline: &PathBuf, current: &PathBuf, extra: &[&str]) -> (i32, Str
     (out.status.code().expect("exit code"), text)
 }
 
-#[test]
-fn passes_identical_runs_and_fails_injected_regression() {
-    let baseline = write_fixture("baseline.json", &bench_json(16_000_000.0));
-    // Identical rerun: ok.
-    let (code, text) = run_check(&baseline, &baseline, &[]);
-    assert_eq!(code, 0, "identical runs must pass:\n{text}");
-    assert!(text.contains("ok (2 benchmarks, 0 improved)"), "{text}");
-
-    // Small same-machine jitter (-10%): still ok at the default threshold.
-    let jitter = write_fixture("jitter.json", &bench_json(14_400_000.0));
-    let (code, text) = run_check(&baseline, &jitter, &[]);
-    assert_eq!(code, 0, "10% jitter must pass:\n{text}");
-
-    // Injected regression (-60%): the gate trips.
-    let regressed = write_fixture("regressed.json", &bench_json(6_400_000.0));
-    let (code, text) = run_check(&baseline, &regressed, &[]);
-    assert_eq!(code, 1, "injected regression must fail:\n{text}");
-    assert!(text.contains("REGRESSED"), "{text}");
-
-    // The same regression passes a deliberately loose threshold.
-    let (code, text) = run_check(&baseline, &regressed, &["--threshold", "0.9"]);
-    assert_eq!(code, 0, "loose threshold must pass:\n{text}");
-
-    // A large improvement (+60%) passes and is called out as such.
-    let improved = write_fixture("improved.json", &bench_json(25_600_000.0));
-    let (code, text) = run_check(&baseline, &improved, &[]);
-    assert_eq!(code, 0, "improvement must pass:\n{text}");
-    assert!(text.contains("improved"), "{text}");
-    assert!(
-        text.contains("1 improved past the threshold"),
-        "improvement summary missing:\n{text}"
-    );
-
-    for p in [baseline, jitter, regressed, improved] {
-        let _ = std::fs::remove_file(p);
-    }
+/// Runs the gate with a neutral parent against `change`.
+fn against_neutral(name: &str, change: impl Fn(&str) -> Canned) -> (i32, String) {
+    let dir = Scratch::new(name);
+    let parent = dir.side("parent", |_| NEUTRAL);
+    let change = dir.side("change", change);
+    gate(&parent, &change)
 }
 
 #[test]
-fn fails_when_a_benchmark_vanishes() {
-    let baseline = write_fixture("full-baseline.json", &bench_json(16_000_000.0));
-    let partial = write_fixture(
-        "partial.json",
-        r#"{"benchmarks": [
-            {"name": "system_nbody_fig1_sa", "ops_per_sec": 2500000.0, "detail": "events"}
-        ]}"#,
+fn identical_sides_pass() {
+    let (code, text) = against_neutral("identical", |_| NEUTRAL);
+    assert_eq!(code, 0, "identical outputs must pass:\n{text}");
+    assert!(text.contains("sa-bench-check: ok"), "{text}");
+    assert!(text.contains("3/3"), "pairs column missing:\n{text}");
+}
+
+#[test]
+fn lower_is_better_regression_names_metric_and_workload() {
+    let (code, text) = against_neutral("cpu", |w| Canned {
+        scale: (w == "slo_bursty").then_some(("cpu_s", 1.3)),
+        ..NEUTRAL
+    });
+    assert_eq!(code, 1, "cpu_s +30% must fail:\n{text}");
+    assert!(text.contains("FAIL slo_bursty: cpu_s"), "{text}");
+    assert!(!text.contains("FAIL paper") && !text.contains("FAIL thread_churn"));
+}
+
+#[test]
+fn higher_is_better_regression_fails() {
+    let (code, text) = against_neutral("events", |w| Canned {
+        scale: (w == "thread_churn").then_some(("sim_events_per_s", 0.7)),
+        ..NEUTRAL
+    });
+    assert_eq!(code, 1, "sim_events_per_s -30% must fail:\n{text}");
+    assert!(
+        text.contains("FAIL thread_churn: sim_events_per_s"),
+        "{text}"
     );
-    let (code, text) = run_check(&baseline, &partial, &[]);
-    assert_eq!(code, 1, "vanished benchmark must fail:\n{text}");
-    assert!(text.contains("MISSING"), "{text}");
-    for p in [baseline, partial] {
-        let _ = std::fs::remove_file(p);
-    }
+}
+
+#[test]
+fn digest_mismatch_fails() {
+    let (code, text) = against_neutral("digest", |w| Canned {
+        digest: if w == "paper" {
+            "fedcba9876543210"
+        } else {
+            NEUTRAL.digest
+        },
+        ..NEUTRAL
+    });
+    assert_eq!(code, 1, "a digest mismatch must fail:\n{text}");
+    assert!(
+        text.contains("FAIL paper: digests differ at seed 1"),
+        "{text}"
+    );
+}
+
+#[test]
+fn more_failed_checks_fail() {
+    let (code, text) = against_neutral("failed", |_| Canned {
+        failed: 1,
+        ..NEUTRAL
+    });
+    assert_eq!(code, 1, "more failed checks must fail:\n{text}");
+    assert!(
+        text.contains("FAIL paper: change failed 3 checks, parent 0"),
+        "{text}"
+    );
+}
+
+#[test]
+fn truncated_output_is_a_usage_error() {
+    let (code, text) = against_neutral("truncated", |w| Canned {
+        truncate: w == "thread_churn",
+        ..NEUTRAL
+    });
+    assert_eq!(code, 2, "a truncated last line must exit 2:\n{text}");
+    assert!(text.contains("not a JSON object"), "{text}");
 }
 
 #[test]
 fn rejects_bad_arguments() {
-    let out = Command::new(env!("CARGO_BIN_EXE_sa-bench-check"))
-        .arg("only-one.json")
-        .output()
-        .expect("run sa-bench-check");
-    assert_eq!(out.status.code(), Some(2));
-    let out = Command::new(env!("CARGO_BIN_EXE_sa-bench-check"))
-        .args(["a.json", "b.json", "--threshold", "1.5"])
-        .output()
-        .expect("run sa-bench-check");
-    assert_eq!(out.status.code(), Some(2));
+    let run = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_sa-bench-check"))
+            .args(args)
+            .output()
+            .expect("run sa-bench-check")
+            .status
+            .code()
+    };
+    assert_eq!(run(&["--parent", "true"]), Some(2));
+    assert_eq!(
+        run(&["--parent", "a", "--change", "b", "--pairs", "x"]),
+        Some(2)
+    );
+    let missing = "/nonexistent/perfbench";
+    assert_eq!(
+        run(&["--parent", missing, "--change", missing, "--pairs", "1"]),
+        Some(2)
+    );
 }

@@ -94,3 +94,22 @@ fn profile_explicit_default_pair_is_byte_identical() {
         "profile: --ready=global-fifo produced the default-policy profile (flag not wired)"
     );
 }
+
+/// The usage text lists every policy kind the flags accept, from the
+/// same `ALL` tables the parsers use, so a new kind cannot go missing.
+#[test]
+fn usage_names_every_policy_kind() {
+    let out = Command::new(env!("CARGO_BIN_EXE_sa-experiments"))
+        .arg("no-such-subcommand")
+        .output()
+        .expect("spawn sa-experiments");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let names = sa_kernel::AllocPolicyKind::ALL
+        .map(|k| k.name())
+        .into_iter()
+        .chain(sa_uthread::ReadyPolicyKind::ALL.map(|k| k.name()));
+    for name in names {
+        assert!(stderr.contains(name), "usage omits '{name}':\n{stderr}");
+    }
+}

@@ -48,7 +48,6 @@ fn sweep_inputs_and_outputs_are_send() {
     // Outputs: what jobs hand back across the thread boundary.
     assert_send::<NBodyRun>();
     assert_send::<sa_core::experiments::ThreadOpLatencies>();
-    assert_send::<sa_core::experiments::EngineThroughput>();
     assert_send::<sa_core::RunReport>();
     assert_send::<TraceRecord>();
     assert_send::<Vec<TraceRecord>>();

@@ -336,8 +336,9 @@ enum Mode {
 ///
 /// The zero-cost-when-disabled emission handle: [`Tracer::event`] takes
 /// a closure, so a [`Tracer::disabled`] trace never constructs the
-/// event (no formatting, no allocation — measured by the
-/// `tracing_overhead` entry in `BENCH_engine.json`).
+/// event (no formatting, no allocation). Perfbench's end-to-end runs
+/// use the disabled trace; its `bench.trace_overhead_ratio` metric
+/// reports the cost of its traced passes over the untraced ones.
 ///
 /// [`Tracer::bounded`] keeps only the most recent records (a ring
 /// buffer — long multi-copy sweeps like Table 5 under tracing cannot
