@@ -2,12 +2,12 @@
 //! interleaved parent/change pairs on one host.
 //!
 //! ```sh
-//! sa-bench-check --parent CMD --change CMD [--pairs N] [--seconds S]
+//! sa-bench-check --parent CMD --change CMD [--seconds S]
 //! ```
 //!
 //! Each `CMD` is a perfbench command line, split on whitespace (so
 //! `'target/release/sa-perfbench --slowdown-ns 20'` works). For every
-//! workload `BENCHMARK.json` declares, pair `i` (1..=N) runs
+//! workload `BENCHMARK.json` declares, pair `i` (1..=10) runs
 //! `CMD --workload W --seed i --seconds S --trace 0` on both sides, the
 //! parent first when `i` is odd. Both sides of a pair run the same seed
 //! back to back on the same host, so host drift between commits or
@@ -21,8 +21,8 @@
 //! when the change reports more failed checks; and 2 on bad arguments,
 //! a command that cannot run or fails, or output it cannot parse.
 //!
-//! The defaults are the benchmark's own method: 10 pairs of
-//! `run_seconds` each.
+//! The pair count and the default run length are the benchmark's own
+//! method: 10 pairs of `run_seconds` each.
 
 use sa_core::reporting::Table;
 use std::process::{Command, Stdio};
@@ -31,15 +31,15 @@ use std::process::{Command, Stdio};
 /// agree on workloads, metrics and bounds.
 const BENCHMARK_JSON: &str = include_str!("../../../../BENCHMARK.json");
 
-/// Pairs run per workload unless `--pairs` says otherwise.
-const DEFAULT_PAIRS: u64 = 10;
+/// Pairs run per workload, the benchmark's own count.
+const PAIRS: u64 = 10;
 
 fn usage() -> &'static str {
-    "usage: sa-bench-check --parent CMD --change CMD [--pairs N] [--seconds S]\n\
+    "usage: sa-bench-check --parent CMD --change CMD [--seconds S]\n\
      \n\
-     Runs every BENCHMARK.json workload in N interleaved parent/change\n\
-     pairs (default 10; seeds 1..=N) of S seconds each (default: the\n\
-     declared run_seconds). Exits 0 when every end-to-end median is\n\
+     Runs every BENCHMARK.json workload in 10 interleaved parent/change\n\
+     pairs (seeds 1..=10) of S seconds each (default: the declared\n\
+     run_seconds). Exits 0 when every end-to-end median is\n\
      within its bound, 1 on a regression, a digest mismatch or more\n\
      failed checks, 2 on bad arguments or unparsable output."
 }
@@ -127,7 +127,6 @@ fn parse_benchmark(json: &str) -> Benchmark {
 struct Options {
     parent: Vec<String>,
     change: Vec<String>,
-    pairs: u64,
     seconds: u64,
 }
 
@@ -135,7 +134,7 @@ fn parse_args(
     mut args: impl Iterator<Item = String>,
     default_seconds: u64,
 ) -> Result<Options, String> {
-    let (mut parent, mut change, mut pairs, mut seconds) = (None, None, DEFAULT_PAIRS, None);
+    let (mut parent, mut change, mut seconds) = (None, None, None);
     while let Some(flag) = args.next() {
         let mut value = || args.next().ok_or(format!("{flag} needs a value"));
         let count = |v: String| {
@@ -153,12 +152,6 @@ fn parse_args(
         match flag.as_str() {
             "--parent" => parent = Some(command(value()?)?),
             "--change" => change = Some(command(value()?)?),
-            "--pairs" => {
-                pairs = count(value()?)?;
-                if pairs == 0 {
-                    return Err("--pairs: must be at least 1".to_string());
-                }
-            }
             "--seconds" => seconds = Some(count(value()?)?),
             _ => return Err(format!("unknown argument '{flag}'")),
         }
@@ -166,7 +159,6 @@ fn parse_args(
     Ok(Options {
         parent: parent.ok_or("--parent is required")?,
         change: change.ok_or("--change is required")?,
-        pairs,
         seconds: seconds.unwrap_or(default_seconds),
     })
 }
@@ -379,7 +371,7 @@ fn main() {
         })
     };
     let mut results: Vec<Vec<(RunResult, RunResult)>> = vec![Vec::new(); bench.workloads.len()];
-    for seed in 1..=opts.pairs {
+    for seed in 1..=PAIRS {
         for (w, workload) in bench.workloads.iter().enumerate() {
             let pair = if parent_first(seed) {
                 let p = run(&opts.parent, workload, seed);
@@ -389,8 +381,7 @@ fn main() {
                 (run(&opts.parent, workload, seed), c)
             };
             println!(
-                "# pair {seed}/{} {workload}: {} first; digest {} / {}",
-                opts.pairs,
+                "# pair {seed}/{PAIRS} {workload}: {} first; digest {} / {}",
                 if parent_first(seed) {
                     "parent"
                 } else {
@@ -406,8 +397,8 @@ fn main() {
     for (workload, pairs) in bench.workloads.iter().zip(&results) {
         let (table, mut c) = judge(&bench, workload, pairs);
         println!(
-            "\n{workload} ({} pairs of {} s, seeds 1..={})",
-            opts.pairs, opts.seconds, opts.pairs
+            "\n{workload} ({PAIRS} pairs of {} s, seeds 1..={PAIRS})",
+            opts.seconds
         );
         print!("{table}");
         causes.append(&mut c);
@@ -512,9 +503,9 @@ mod tests {
         let parse = |a: &[&str]| parse_args(a.iter().map(|s| s.to_string()), 30);
         let o = parse(&["--parent", "a --x 1", "--change", "b"]).unwrap();
         assert_eq!(o.parent, ["a", "--x", "1"]);
-        assert_eq!((o.pairs, o.seconds), (DEFAULT_PAIRS, 30));
+        assert_eq!(o.seconds, 30);
         assert!(parse(&["--parent", "a"]).is_err());
-        assert!(parse(&["--parent", "a", "--change", "b", "--pairs", "0"]).is_err());
+        assert!(parse(&["--parent", "a", "--change", "b", "--seconds", "x"]).is_err());
         assert!(parse(&["--parent", " ", "--change", "b"]).is_err());
         assert!(parse(&["--parent", "a", "--change", "b", "--bogus", "1"]).is_err());
     }

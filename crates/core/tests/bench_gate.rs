@@ -29,6 +29,8 @@ struct Canned {
     failed: u64,
     /// A metric scaled by a factor.
     scale: Option<(&'static str, f64)>,
+    /// A metric left out of the JSON line.
+    omit: Option<&'static str>,
     truncate: bool,
 }
 
@@ -36,12 +38,14 @@ const NEUTRAL: Canned = Canned {
     digest: "0123456789abcdef",
     failed: 0,
     scale: None,
+    omit: None,
     truncate: false,
 };
 
 fn perfbench_output(c: &Canned) -> String {
     let metrics: Vec<String> = METRICS
         .iter()
+        .filter(|&&(name, _)| c.omit != Some(name))
         .map(|&(name, v)| {
             let v = match c.scale {
                 Some((scaled, by)) if scaled == name => v * by,
@@ -109,7 +113,7 @@ impl Drop for Scratch {
 fn gate(parent: &str, change: &str) -> (i32, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_sa-bench-check"))
         .args(["--parent", parent, "--change", change])
-        .args(["--pairs", "3", "--seconds", "1"])
+        .args(["--seconds", "1"])
         .output()
         .expect("run sa-bench-check");
     let text = format!(
@@ -133,7 +137,7 @@ fn identical_sides_pass() {
     let (code, text) = against_neutral("identical", |_| NEUTRAL);
     assert_eq!(code, 0, "identical outputs must pass:\n{text}");
     assert!(text.contains("sa-bench-check: ok"), "{text}");
-    assert!(text.contains("3/3"), "pairs column missing:\n{text}");
+    assert!(text.contains("10/10"), "pairs column missing:\n{text}");
 }
 
 #[test]
@@ -185,7 +189,7 @@ fn more_failed_checks_fail() {
     });
     assert_eq!(code, 1, "more failed checks must fail:\n{text}");
     assert!(
-        text.contains("FAIL paper: change failed 3 checks, parent 0"),
+        text.contains("FAIL paper: change failed 10 checks, parent 0"),
         "{text}"
     );
 }
@@ -201,6 +205,19 @@ fn truncated_output_is_a_usage_error() {
 }
 
 #[test]
+fn a_missing_metric_is_a_usage_error() {
+    let (code, text) = against_neutral("missing", |w| Canned {
+        omit: (w == "slo_bursty").then_some("sim_p9999_ms"),
+        ..NEUTRAL
+    });
+    assert_eq!(
+        code, 2,
+        "a JSON line without a declared metric must exit 2:\n{text}"
+    );
+    assert!(text.contains("no metric sim_p9999_ms"), "{text}");
+}
+
+#[test]
 fn rejects_bad_arguments() {
     let run = |args: &[&str]| {
         Command::new(env!("CARGO_BIN_EXE_sa-bench-check"))
@@ -212,12 +229,9 @@ fn rejects_bad_arguments() {
     };
     assert_eq!(run(&["--parent", "true"]), Some(2));
     assert_eq!(
-        run(&["--parent", "a", "--change", "b", "--pairs", "x"]),
+        run(&["--parent", "a", "--change", "b", "--seconds", "x"]),
         Some(2)
     );
     let missing = "/nonexistent/perfbench";
-    assert_eq!(
-        run(&["--parent", missing, "--change", missing, "--pairs", "1"]),
-        Some(2)
-    );
+    assert_eq!(run(&["--parent", missing, "--change", missing]), Some(2));
 }
